@@ -100,8 +100,8 @@ class HyperParams:
             raise ParameterError("decay factor c must lie in (0, 1)")
         if self.k < 1:
             raise ParameterError("k must be >= 1")
-        if self.eps <= 0.0:
-            raise ParameterError("eps must be > 0")
+        if not (0.0 < self.eps < math.inf):
+            raise ParameterError("eps must be finite and > 0")
         if self.width < 1:
             raise ParameterError("width must be >= 1")
         if self.mlp_h_depth not in (1, 2):

@@ -4,12 +4,29 @@ Three related objects live here and are deliberately kept distinct:
 
   fixed point   S = c * P S P^T off-diagonal with diag(S) = 1; ground truth.
   power series  sum_{k>=0} c^k P^k ((1-c) I) (P^T)^k; the linear-system object.
-  raw push      sum_{k>=0} c^k P^k (P^T)^k accumulated entry-by-entry by the
-                worklist push; (1-c) * raw equals the power series in the limit.
+  raw push      sum_{k>=0} c^k P^k (P^T)^k accumulated by the local push;
+                (1-c) * raw equals the power series in the limit.
+
+The push is level-synchronous (Jacobi order): it keeps an estimate E and a
+residual R, both sparse n x n, from E = 0 and R = I. Each round commits every
+residual above the threshold (1-c)*eps at once,
+
+  sel = R on its entries > (1-c)*eps,   E += sel,   R <- R - sel + c * P sel P^T,
+
+which costs two sparse products. After every round
+
+  E + sum_k c^k P^k R (P^T)^k = sum_k c^k P^k (P^T)^k,
+
+and the push exits once max R <= (1-c)*eps. P is row-substochastic, so the
+uncommitted tail sum_k c^k P^k R (P^T)^k is at most max R / (1-c) per entry,
+and (1-c) * E falls short of the power series by at most max R, below eps.
+RawPushMatrix.pops counts the entries committed over all rounds (an entry
+committed in two rounds counts twice). E is symmetric only up to rounding in
+the sparse products: at eps 0.1 the largest |E - E^T| was 0 on a 4000-node
+ring graph and 6.9e-18 on a 40000-node uniform graph of degree 8.
 
 The production approximate path rescales the raw push sum by (1-c) and pins
-the diagonal to 1. The residual worklist is deterministic: always pop the
-largest residual, ties broken by smallest (row, col).
+the diagonal to 1.
 
 Dense similarity matrices are only allowed up to DENSE_LIMIT nodes; past that
 only the push + top-k sparse route is available.
@@ -17,7 +34,6 @@ only the push + top-k sparse route is available.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import IO
@@ -31,6 +47,7 @@ from .graph import Graph, transition
 __all__ = [
     "DENSE_LIMIT",
     "SimMatrix",
+    "PairMatrix",
     "RawPushMatrix",
     "SparseSim",
     "simrank_fixedpoint",
@@ -52,6 +69,11 @@ DENSE_LIMIT = 20_000
 def _check_decay(c: float) -> None:
     if not (0.0 < c < 1.0):
         raise ParameterError(f"decay factor must lie in (0, 1), got {c}")
+
+
+def _check_eps(eps: float) -> None:
+    if not (0.0 < eps < math.inf):
+        raise ParameterError(f"eps must be finite and > 0, got {eps}")
 
 
 def _dense_guard(n: int, what: str) -> None:
@@ -90,37 +112,38 @@ class SimMatrix:
         return self.values.shape[0]
 
 
+class PairMatrix(sp.csr_matrix):
+    """n x n CSR pair matrix that also answers `u * n + v in m` for a nonzero (u, v)."""
+
+    def __contains__(self, key: int) -> bool:
+        return self[divmod(key, self.shape[1])] != 0
+
+
 @dataclass
 class RawPushMatrix:
-    """Uncorrected push accumulation plus the terminal residual, both pair-sparse.
+    """Uncorrected push accumulation plus the terminal residual, both sparse n x n.
 
-    Keys are flattened pairs u * n + v. estimate holds the raw series mass;
-    residual holds whatever never crossed the (1-c)*eps worklist threshold.
+    estimate holds the raw series mass; residual holds whatever never crossed
+    the (1-c)*eps threshold. pops counts committed entries over all rounds.
     """
 
     n: int
     c: float
     eps: float
-    estimate: dict[int, float]
-    residual: dict[int, float]
+    estimate: PairMatrix
+    residual: PairMatrix
     pops: int
 
     def max_residual(self) -> float:
-        return max(self.residual.values(), default=0.0)
+        return float(self.residual.data.max(initial=0.0))
 
     def estimate_dense(self) -> np.ndarray:
         _dense_guard(self.n, "raw push export")
-        out = np.zeros((self.n, self.n))
-        for key, val in self.estimate.items():
-            out[divmod(key, self.n)] = val
-        return out
+        return self.estimate.toarray()
 
     def residual_dense(self) -> np.ndarray:
         _dense_guard(self.n, "raw push residual export")
-        out = np.zeros((self.n, self.n))
-        for key, val in self.residual.items():
-            out[divmod(key, self.n)] = val
-        return out
+        return self.residual.toarray()
 
 
 @dataclass
@@ -203,70 +226,45 @@ def simrank_localpush(
     g: Graph,
     c: float,
     eps: float,
-    tie_break: str = "lex",
     _decay_override: float | None = None,
 ) -> RawPushMatrix:
-    """Worklist push: repeatedly commit the largest residual and spread it to neighbor pairs.
+    """Level-synchronous push: each round commits every residual above (1-c)*eps at once.
 
-    Starts from R = I and loops while any residual exceeds (1-c)*eps, popping a
-    maximal entry (u, v), adding it to the estimate, pushing
-    c * R(u,v) / (deg(u') * deg(v')) to every pair (u', v') with u' adjacent to
-    u and v' adjacent to v, then zeroing R(u, v). tie_break picks the order
-    among equal residuals ("lex" or "revlex" on the pair); the accumulated mass
-    is order-invariant up to rounding. _decay_override is a test hook that
+    Starts from R = I, E = 0. A round takes sel = R on its entries above the
+    threshold, adds sel to E and replaces R by R - sel + c * P sel P^T; it
+    stops once max R <= (1-c)*eps. _decay_override is a test hook that
     deliberately misapplies the decay for negative controls.
     """
     _check_decay(c)
-    if eps <= 0.0:
-        raise ParameterError(f"eps must be > 0, got {eps}")
-    if tie_break not in ("lex", "revlex"):
-        raise ParameterError("tie_break must be 'lex' or 'revlex'")
+    _check_eps(eps)
     decay = c if _decay_override is None else _decay_override
     n = g.n
     threshold = (1.0 - c) * eps
-    inv_deg = np.zeros(n)
-    nz = g.degrees > 0
-    inv_deg[nz] = 1.0 / g.degrees[nz]
-    inv_deg_list = inv_deg.tolist()
-    nbr_lists = [g.neighbor_slice(u).tolist() for u in range(n)]
-
-    est: dict[int, float] = {}
-    res: dict[int, float] = {}
-    heap: list[tuple[float, int, int]] = []
-    last = n * n - 1
-    reverse = tie_break == "revlex"
-    for u in range(n):
-        key = u * n + u
-        res[key] = 1.0
-        if 1.0 > threshold:
-            heap.append((-1.0, last - key if reverse else key, key))
-    heapq.heapify(heap)
-
-    res_get = res.get
-    push = heapq.heappush
-    pop = heapq.heappop
+    p = transition(g).csr
+    pt = p.T.tocsr()
+    res = sp.identity(n, format="csr")
+    # committed entries of every round as (row, col, value); E is their sum
+    rows, cols, vals = [np.empty(0, np.int64)], [np.empty(0, np.int32)], [np.empty(0)]
     pops = 0
-    while heap:
-        neg_val, _, key = pop(heap)
-        val = res_get(key)
-        if val is None or val != -neg_val:
-            continue  # stale entry; a fresher one is (or was) in the heap
-        pops += 1
-        u, v = divmod(key, n)
-        est[key] = est.get(key, 0.0) + val
-        res[key] = 0.0
-        scaled = decay * val
-        for a in nbr_lists[u]:
-            wa = scaled * inv_deg_list[a]
-            base = a * n
-            for b in nbr_lists[v]:
-                k2 = base + b
-                nv = res_get(k2, 0.0) + wa * inv_deg_list[b]
-                res[k2] = nv
-                if nv > threshold:
-                    push(heap, (-nv, last - k2 if reverse else k2, k2))
-    res = {k: v for k, v in res.items() if v != 0.0}
-    return RawPushMatrix(n=n, c=c, eps=eps, estimate=est, residual=res, pops=pops)
+    while True:
+        hot = np.flatnonzero(res.data > threshold)
+        if hot.size == 0:
+            break
+        pops += hot.size
+        rows.append(np.searchsorted(res.indptr, hot, side="right") - 1)
+        cols.append(res.indices[hot])
+        vals.append(res.data[hot])
+        sel = sp.csr_matrix((vals[-1], cols[-1], np.searchsorted(hot, res.indptr)), shape=(n, n))
+        res.data[hot] = 0.0  # R - sel; the sum below drops the explicit zeros
+        spread = p @ sel @ pt
+        spread.data *= decay
+        res = res + spread
+    est = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
+    return RawPushMatrix(
+        n=n, c=c, eps=eps, estimate=PairMatrix(est), residual=PairMatrix(res), pops=pops
+    )
 
 
 def production_iterations(c: float, eps: float) -> int:
@@ -281,8 +279,7 @@ def simrank_production(g: Graph, c: float, eps: float, mode: str) -> SimMatrix:
     approx -> (1-c) * raw push sum with the diagonal then pinned to 1.
     """
     _check_decay(c)
-    if eps <= 0.0:
-        raise ParameterError(f"eps must be > 0, got {eps}")
+    _check_eps(eps)
     if mode == "exact":
         s = simrank_fixedpoint(g, c, production_iterations(c, eps))
         s.eps = eps
@@ -295,10 +292,7 @@ def simrank_production(g: Graph, c: float, eps: float, mode: str) -> SimMatrix:
 def production_from_push(raw: RawPushMatrix) -> SimMatrix:
     """Dense production matrix from an existing push run: (1-c)-rescale, pin diagonal."""
     _dense_guard(raw.n, "dense approximate SimRank")
-    out = np.zeros((raw.n, raw.n))
-    scale = 1.0 - raw.c
-    for key, val in raw.estimate.items():
-        out[divmod(key, raw.n)] = scale * val
+    out = (1.0 - raw.c) * raw.estimate.toarray()
     np.fill_diagonal(out, 1.0)
     return SimMatrix(values=out, method="localpush", c=raw.c, eps=raw.eps)
 
@@ -306,25 +300,18 @@ def production_from_push(raw: RawPushMatrix) -> SimMatrix:
 def _rows_from_candidates(
     n: int, k: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Select per-row the k largest candidates (ties -> smaller column), columns ascending."""
-    keep_cols: list[np.ndarray] = []
-    keep_vals: list[np.ndarray] = []
-    counts = np.zeros(n, dtype=np.int64)
+    """Select per-row the k largest candidates (ties -> smaller column), columns ascending.
+
+    The candidates are distinct (row, col) pairs of an n x n matrix, in any order.
+    """
     order = np.lexsort((cols, -vals, rows))
-    rows_s, cols_s, vals_s = rows[order], cols[order], vals[order]
-    bounds = np.searchsorted(rows_s, np.arange(n + 1))
-    for u in range(n):
-        lo, hi = bounds[u], min(bounds[u + 1], bounds[u] + k)
-        c_sel = cols_s[lo:hi]
-        v_sel = vals_s[lo:hi]
-        asc = np.argsort(c_sel, kind="stable")
-        keep_cols.append(c_sel[asc])
-        keep_vals.append(v_sel[asc])
-        counts[u] = hi - lo
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    cols_out = np.concatenate(keep_cols) if keep_cols else np.empty(0, np.int64)
-    vals_out = np.concatenate(keep_vals) if keep_vals else np.empty(0)
-    return indptr, cols_out, vals_out
+    counts = np.bincount(rows, minlength=n)
+    row_start = np.cumsum(counts) - counts
+    rank = np.arange(rows.size) - np.repeat(row_start, counts)  # position within its row
+    keep = order[rank < k]
+    keep = keep[np.argsort(rows[keep].astype(np.int64) * n + cols[keep], kind="stable")]
+    indptr = np.concatenate([[0], np.cumsum(np.minimum(counts, k))])
+    return indptr, cols[keep], vals[keep]
 
 
 def topk_prune(s: SimMatrix, k: int) -> SparseSim:
@@ -347,9 +334,8 @@ def topk_from_push(raw: RawPushMatrix, k: int) -> SparseSim:
     if k < 1:
         raise ParameterError("k must be >= 1")
     n = raw.n
-    keys = np.fromiter(raw.estimate.keys(), dtype=np.int64, count=len(raw.estimate))
-    vals = np.fromiter(raw.estimate.values(), dtype=np.float64, count=len(raw.estimate))
-    rows, cols = np.divmod(keys, n)
+    est = raw.estimate.tocoo()
+    rows, cols, vals = est.row, est.col, est.data
     off = rows != cols
     rows = np.concatenate([rows[off], np.arange(n)])
     cols = np.concatenate([cols[off], np.arange(n)])

@@ -96,6 +96,18 @@ class TestSimrank:
         err_tight = np.abs(dumps["0.01"] - exact).max()
         assert err_tight <= err_loose
 
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_eps_exits_2(self, tmp_path, capsys, mode, eps):
+        (tmp_path / "e.txt").write_text("0 1\n1 2\n")
+        code = main(["simrank", "--edges", str(tmp_path / "e.txt"), "--mode", mode,
+                     "--eps", eps, "--k", "8", "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "similarity.txt").exists()
+
     def test_dense_guard_exits_4(self, tmp_path, capsys):
         lines = [f"{i} {i + 1}" for i in range(20001)]
         (tmp_path / "big.txt").write_text("\n".join(lines) + "\n")

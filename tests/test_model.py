@@ -47,7 +47,7 @@ class TestHyperParams:
         "field,value",
         [("delta", 1.5), ("alpha", -0.1), ("c", 1.0), ("k", 0), ("eps", 0.0),
          ("dropout", 1.0), ("lr", 0.0), ("mlp_h_depth", 3), ("sim_mode", "other"),
-         ("skip_form", "both"), ("patience", 0)],
+         ("skip_form", "both"), ("patience", 0), ("eps", float("nan")), ("eps", float("inf"))],
     )
     def test_bad_values_rejected(self, field, value):
         with pytest.raises(ParameterError):
