@@ -13,6 +13,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -25,40 +26,16 @@ from .model import (
     evaluate,
     fit,
     load_checkpoint,
+    precompute_similarity,
     save_checkpoint,
 )
-from .simrank import (
-    dump_sparse_sim,
-    load_sparse_sim,
-    production_from_push,
-    simrank_localpush,
-    simrank_production,
-    topk_from_push,
-    topk_prune,
-)
+from .simrank import dump_sparse_sim, load_sparse_sim
 from .verify import run_all
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_GUARD = 4
-
-_HP_FLAGS = [
-    ("--delta", float),
-    ("--alpha", float),
-    ("--c", float),
-    ("--k", int),
-    ("--eps", float),
-    ("--width", int),
-    ("--mlp-h-depth", int),
-    ("--lr", float),
-    ("--dropout", float),
-    ("--weight-decay", float),
-    ("--max-epochs", int),
-    ("--patience", float),
-    ("--sim-mode", str),
-    ("--skip-form", str),
-]
 
 
 def _add_shared_io(parser: argparse.ArgumentParser, need_bundle: bool) -> None:
@@ -72,22 +49,23 @@ def _add_shared_io(parser: argparse.ArgumentParser, need_bundle: bool) -> None:
 
 
 def _add_hp_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per HyperParams field: `--` + the name with `_` -> `-`, of the field's type."""
     parser.add_argument("--config", help="key=value config file; flags override it")
-    for flag, typ in _HP_FLAGS:
-        parser.add_argument(flag, type=typ, default=None)
+    types = get_type_hints(HyperParams)
+    for f in dataclasses.fields(HyperParams):
+        parser.add_argument("--" + f.name.replace("_", "-"), type=types[f.name], help=f"default {f.default}")
 
 
 def _hyperparams(args: argparse.Namespace) -> HyperParams:
+    """HyperParams from the flags given (and --config, if any); the rest keep their defaults."""
     overrides = {}
-    for flag, _ in _HP_FLAGS:
-        key = flag.lstrip("-").replace("-", "_")
-        val = getattr(args, key, None)
+    for f in dataclasses.fields(HyperParams):
+        val = getattr(args, f.name, None)
         if val is not None:
-            overrides[key] = val
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if args.config:
-        return HyperParams.from_file(args.config, overrides)
+            overrides[f.name] = val
+    config = getattr(args, "config", None)
+    if config:
+        return HyperParams.from_file(config, overrides)
     return HyperParams.from_dict(overrides)
 
 
@@ -109,17 +87,11 @@ def cmd_homophily(args: argparse.Namespace) -> int:
 
 
 def cmd_simrank(args: argparse.Namespace) -> int:
+    hp = _hyperparams(args)
     with open(args.edges) as fh:
         g = load_edge_list(fh)
     t0 = time.perf_counter()
-    dense = None
-    raw = None
-    if args.mode == "exact":
-        dense = simrank_production(g, args.c, args.eps, "exact")
-        sim = topk_prune(dense, args.k)
-    else:
-        raw = simrank_localpush(g, args.c, args.eps)
-        sim = topk_from_push(raw, args.k)
+    sim = precompute_similarity(g, hp)
     seconds = time.perf_counter() - t0
     out_dir = _out_dir(args)
     out = out_dir / "similarity.txt"
@@ -128,15 +100,13 @@ def cmd_simrank(args: argparse.Namespace) -> int:
     print(f"precompute_seconds\t{seconds:.6f}")
     print(f"wrote\t{out}")
     if args.labels:
-        # intra/inter-class score distribution diagnostic
+        # intra/inter-class score distribution of the retained S
         from .data import load_labels
         from .simrank import class_score_histogram
 
         with open(args.labels) as fh:
             labels = load_labels(fh)
-        if dense is None:
-            dense = production_from_push(raw)
-        hist = class_score_histogram(dense, labels)
+        hist = class_score_histogram(sim, labels)
         hist_path = out_dir / "score_histogram.tsv"
         with open(hist_path, "w") as fh:
             fh.write("log10_bin_lo\tlog10_bin_hi\tintra\tinter\n")
@@ -170,12 +140,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     save_checkpoint(out / "checkpoint.npz", params, hp)
     if args.export_embeddings:
         if sim is None:
-            from .model import precompute_similarity
-
             sim = precompute_similarity(bundle.graph, hp)
         from .model import aggregate, embed
 
-        z = aggregate(sim, embed(bundle, params, hp), hp.alpha, hp.skip_form)
+        z = aggregate(sim, embed(bundle, params, hp), hp.alpha)
         np.savetxt(out / "embeddings.txt", z)
     print(f"test_accuracy\t{report.test_accuracy:.6f}")
     print(f"best_epoch\t{report.best_epoch}")
@@ -192,8 +160,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         with open(args.sim) as fh:
             sim = load_sparse_sim(fh)
     else:
-        from .model import precompute_similarity
-
         sim = precompute_similarity(bundle.graph, hp)
     split = {"train": bundle.train_idx, "val": bundle.val_idx, "test": bundle.test_idx}[args.split]
     acc = evaluate(bundle, sim, params, hp, split)
@@ -222,7 +188,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    ladder = [int(tok) for tok in args.ladder.split(",") if tok]
+    try:
+        ladder = [int(tok) for tok in args.ladder.split(",") if tok]
+    except ValueError:
+        raise ParameterError(f"--ladder must be comma-separated node counts, got {args.ladder!r}") from None
     result = run_bench(
         ladder, degree=args.degree, eps=args.eps, k=args.k, c=args.c, seed=args.seed or 0
     )
@@ -247,10 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simrank", help="precompute top-k sparse similarity and dump it")
     _add_shared_io(p, need_bundle=False)
     p.add_argument("--labels", help="optional; also write the intra/inter-class score histogram")
-    p.add_argument("--c", type=float, default=0.6)
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--k", type=int, default=1024)
-    p.add_argument("--mode", choices=["exact", "approx"], default="exact")
+    p.add_argument("--c", type=float, help=f"decay factor, default {HyperParams.c}")
+    p.add_argument("--eps", type=float, help=f"accuracy, default {HyperParams.eps}")
+    p.add_argument("--k", type=int, help=f"entries kept per row, default {HyperParams.k}")
+    p.add_argument("--mode", dest="sim_mode", choices=["exact", "approx"],
+                   help=f"default {HyperParams.sim_mode}")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_simrank)
@@ -258,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the classifier and write report + checkpoint")
     _add_shared_io(p, need_bundle=True)
     _add_hp_flags(p)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--sim", help="precomputed similarity dump (else computed inline)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--export-embeddings", action="store_true", help="also write embeddings.txt")

@@ -92,7 +92,11 @@ def load_features(source: IO[str] | Iterable[str]) -> np.ndarray:
         rows.append(row)
     if not rows:
         raise InputFormatError("empty feature file")
-    return np.asarray(rows, dtype=np.float64)
+    out = np.asarray(rows, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad.size:
+        raise InputFormatError(f"node {bad[0]}: non-finite feature value")
+    return out
 
 
 def load_labels(source: IO[str] | Iterable[str]) -> np.ndarray:

@@ -9,6 +9,7 @@ in the id range become isolated nodes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
@@ -200,6 +201,8 @@ def random_graph(
     """
     if n < 2:
         raise ParameterError("need at least two nodes")
+    if not (0.0 <= avg_degree < math.inf):
+        raise ParameterError(f"average degree must be finite and >= 0, got {avg_degree}")
     if min_degree >= n:
         raise ParameterError("min_degree must be below n")
     rng = np.random.default_rng(seed)

@@ -7,9 +7,6 @@ get H. The precomputed sparse similarity then mixes rows globally,
 Z = (1 - alpha) * S @ H + alpha * H, and a softmax over Z gives class
 probabilities. S is computed once before training (the expensive part is
 outside the training loop) and reused every epoch.
-
-`skip_form="alpha_on_agg"` switches the mix to Z = alpha * S @ H + (1 - alpha) * H
-(the coefficient roles swapped), kept selectable for comparison runs.
 """
 
 from __future__ import annotations
@@ -18,8 +15,10 @@ import copy
 import json
 import math
 import time
+import zipfile
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -65,12 +64,16 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 @dataclass
 class HyperParams:
-    """Run configuration; mirrors the flat key=value config-file keys one to one."""
+    """Run configuration, and the one declaration of every knob.
+
+    Each field is a key of the flat key=value config file and a `simga train`
+    flag (`--` + the name with `_` -> `-`); both parse values with the field's type.
+    """
 
     delta: float = 0.5
     alpha: float = 0.5
@@ -86,7 +89,6 @@ class HyperParams:
     patience: float = 100
     seed: int = 0
     sim_mode: str = "exact"
-    skip_form: str = "main"
 
     def __post_init__(self) -> None:
         self.validate()
@@ -106,20 +108,18 @@ class HyperParams:
             raise ParameterError("width must be >= 1")
         if self.mlp_h_depth not in (1, 2):
             raise ParameterError("mlp_h_depth must be 1 or 2")
-        if self.lr <= 0.0:
-            raise ParameterError("learning rate must be > 0")
+        if not (0.0 < self.lr < math.inf):
+            raise ParameterError("learning rate must be finite and > 0")
         if not (0.0 <= self.dropout < 1.0):
             raise ParameterError("dropout must lie in [0, 1)")
-        if self.weight_decay < 0.0:
-            raise ParameterError("weight decay must be >= 0")
+        if not (0.0 <= self.weight_decay < math.inf):
+            raise ParameterError("weight decay must be finite and >= 0")
         if self.max_epochs < 0:
             raise ParameterError("max_epochs must be >= 0")
         if not self.patience > 0:
             raise ParameterError("patience must be > 0")
         if self.sim_mode not in ("exact", "approx"):
             raise ParameterError("sim_mode must be 'exact' or 'approx'")
-        if self.skip_form not in ("main", "alpha_on_agg"):
-            raise ParameterError("skip_form must be 'main' or 'alpha_on_agg'")
 
     def to_dict(self) -> dict:
         out = {}
@@ -130,12 +130,18 @@ class HyperParams:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "HyperParams":
+        """Typed values pass through; strings are parsed with the field's type."""
         kwargs = {}
-        types = {f.name: f.type for f in fields(cls)}
+        types = get_type_hints(cls)
         for key, val in raw.items():
             if key not in types:
                 raise InputFormatError(f"unknown hyperparameter {key!r}")
-            kwargs[key] = _coerce(key, val)
+            if isinstance(val, str) and types[key] is not str:
+                try:
+                    val = types[key](val)  # float accepts "inf" for patience
+                except ValueError:
+                    raise InputFormatError(f"bad value for {key}: {val!r}") from None
+            kwargs[key] = val
         return cls(**kwargs)
 
     @classmethod
@@ -154,24 +160,6 @@ class HyperParams:
         if overrides:
             raw.update(overrides)
         return cls.from_dict(raw)
-
-
-_INT_KEYS = {"k", "width", "mlp_h_depth", "max_epochs", "seed"}
-_FLOAT_KEYS = {"delta", "alpha", "c", "eps", "lr", "dropout", "weight_decay", "patience"}
-
-
-def _coerce(key: str, val):
-    if isinstance(val, (int, float)):
-        return val
-    text = str(val)
-    try:
-        if key in _INT_KEYS:
-            return int(text)
-        if key in _FLOAT_KEYS:
-            return float(text)  # accepts "inf" for patience
-    except ValueError:
-        raise InputFormatError(f"bad value for {key}: {text!r}") from None
-    return text
 
 
 @dataclass
@@ -246,27 +234,18 @@ def embed(
     return hh
 
 
-def _mix_coeffs(alpha: float, form: str) -> tuple[float, float]:
-    if form == "main":
-        return 1.0 - alpha, alpha  # alpha weights the skip term
-    if form == "alpha_on_agg":
-        return alpha, 1.0 - alpha  # alpha weights the aggregated term
-    raise ParameterError("skip_form must be 'main' or 'alpha_on_agg'")
-
-
-def aggregate(s: SparseSim, h: np.ndarray, alpha: float, form: str = "main") -> np.ndarray:
-    """Global mix of similarity-aggregated rows with the raw rows (skip connection)."""
+def aggregate(s: SparseSim, h: np.ndarray, alpha: float) -> np.ndarray:
+    """Global mix Z = (1 - alpha) * S @ H + alpha * H; alpha weights the skip term."""
     if not (0.0 <= alpha <= 1.0):
         raise ParameterError("alpha must lie in [0, 1]")
-    c_agg, c_skip = _mix_coeffs(alpha, form)
-    if c_agg == 0.0:
-        return c_skip * h
-    return c_agg * sparse_aggregate(s, h) + c_skip * h
+    if alpha == 1.0:
+        return alpha * h
+    return (1.0 - alpha) * sparse_aggregate(s, h) + alpha * h
 
 
 def _logits_with_cache(bundle, s, params, hp, training, rng):
     hh, cache = _embed_with_cache(bundle, params, hp, training, rng)
-    z = aggregate(s, hh, hp.alpha, hp.skip_form)
+    z = aggregate(s, hh, hp.alpha)
     return z, cache
 
 
@@ -285,11 +264,10 @@ def forward(
 
 def _backward(bundle, s, params, hp, cache, grad_z) -> list[np.ndarray]:
     """Gradient of the loss wrt every parameter array, ordered like named_arrays()."""
-    c_agg, c_skip = _mix_coeffs(hp.alpha, hp.skip_form)
-    if c_agg == 0.0:
-        grad_h = c_skip * grad_z
+    if hp.alpha == 1.0:
+        grad_h = hp.alpha * grad_z
     else:
-        grad_h = c_agg * (s.to_csr().T @ grad_z) + c_skip * grad_z
+        grad_h = (1.0 - hp.alpha) * (s.to_csr().T @ grad_z) + hp.alpha * grad_z
     grad_combined, grads_h = mlp_backward(params.mlp_h, cache["cache_h"], grad_h)
     grad_hf = hp.delta * grad_combined
     grad_ha = (1.0 - hp.delta) * grad_combined
@@ -487,23 +465,37 @@ def save_checkpoint(path: str | Path, params: SimgaParams, hp: HyperParams) -> N
 
 
 def load_checkpoint(path: str | Path) -> tuple[SimgaParams, HyperParams]:
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["__format_version__"])
+    """Read a checkpoint of this format version; anything else is an InputFormatError."""
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        raise InputFormatError(f"checkpoint {path}: not an npz file") from None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise InputFormatError(f"checkpoint {path}: not an npz file")
+
+    def array(key: str) -> np.ndarray:
+        if key not in data.files:
+            raise InputFormatError(f"checkpoint {path}: no {key} array")
+        return data[key]
+
+    with data:
+        version = int(array("__format_version__"))
         if version != CHECKPOINT_FORMAT_VERSION:
-            raise InputFormatError(f"unsupported checkpoint format version {version}")
-        hp = HyperParams.from_dict(json.loads(str(data["__hyperparams__"])))
-        blocks: dict[str, dict[int, dict[str, np.ndarray]]] = {"mlp_f": {}, "mlp_a": {}, "mlp_h": {}}
-        for key in data.files:
-            if key.startswith("__"):
-                continue
-            block, idx, kind = key.split(".")
-            blocks[block].setdefault(int(idx), {})[kind] = data[key]
-    def build(block: dict[int, dict[str, np.ndarray]]) -> list[LinearLayer]:
-        return [
-            LinearLayer(weight=block[i]["weight"], bias=block[i]["bias"])
-            for i in sorted(block)
-        ]
-    params = SimgaParams(
-        mlp_f=build(blocks["mlp_f"]), mlp_a=build(blocks["mlp_a"]), mlp_h=build(blocks["mlp_h"])
-    )
-    return params, hp
+            raise InputFormatError(
+                f"checkpoint {path}: format version {version} is not supported "
+                f"(this version reads {CHECKPOINT_FORMAT_VERSION}); retrain to write a new one"
+            )
+        try:
+            raw_hp = json.loads(str(array("__hyperparams__")))
+        except ValueError:
+            raise InputFormatError(f"checkpoint {path}: __hyperparams__ is not JSON") from None
+        hp = HyperParams.from_dict(raw_hp)
+        depth = {"mlp_f": 1, "mlp_a": 1, "mlp_h": hp.mlp_h_depth}
+        blocks = {
+            name: [
+                LinearLayer(weight=array(f"{name}.{i}.weight"), bias=array(f"{name}.{i}.bias"))
+                for i in range(layers)
+            ]
+            for name, layers in depth.items()
+        }
+    return SimgaParams(**blocks), hp

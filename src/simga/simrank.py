@@ -163,11 +163,22 @@ class SparseSim:
         self.indptr = np.asarray(self.indptr, dtype=np.int64)
         self.cols = np.asarray(self.cols, dtype=np.int64)
         self.scores = np.asarray(self.scores, dtype=np.float64)
-        if self.indptr.shape != (self.n + 1,) or self.indptr[0] != 0:
+        n, cols, scores = self.n, self.cols, self.scores
+        counts = np.diff(self.indptr)
+        if self.indptr.shape != (n + 1,) or self.indptr[0] != 0 or counts.min(initial=0) < 0:
             raise InputFormatError("bad indptr")
-        if np.any(np.diff(self.indptr) > self.k):
+        if self.indptr[-1] != cols.size or scores.shape != cols.shape:
+            raise InputFormatError("indptr, columns and scores disagree in length")
+        if np.any(counts > self.k):
             raise InputFormatError(f"row holds more than k={self.k} entries")
-        if self.scores.size and self.scores.min() < 0.0:
+        if cols.size and (cols.min() < 0 or cols.max() >= n):
+            raise InputFormatError(f"column id outside [0, {n})")
+        rows = np.repeat(np.arange(n, dtype=np.int64), counts)
+        if np.any(np.diff(rows * n + cols) <= 0):
+            raise InputFormatError("columns not strictly ascending within a row")
+        if not np.isfinite(scores).all():
+            raise InputFormatError("non-finite score")
+        if scores.size and scores.min() < 0.0:
             raise InputFormatError("scores must be nonnegative")
 
     def row(self, u: int) -> tuple[np.ndarray, np.ndarray]:
@@ -366,18 +377,26 @@ class ScoreHistogram:
 
 
 def class_score_histogram(
-    s: SimMatrix, labels: np.ndarray, floor: float = 1e-12, bins: int = 40
+    s: SparseSim, labels: np.ndarray, floor: float = 1e-12, bins: int = 40
 ) -> ScoreHistogram:
     """Distribution of log scores over unordered node pairs, intra- vs inter-class.
 
-    Entries at or below `floor` are discarded as trivial before binning.
+    Reads the retained (top-k) similarity, so it never builds an n x n matrix.
+    Each off-diagonal pair {u, v} kept by either row counts once, scored by
+    S[min, max] when that row keeps it and by S[max, min] otherwise. With
+    k >= n every nonzero pair is kept. Entries at or below `floor` are
+    discarded as trivial before binning.
     """
     labels = np.asarray(labels)
     if labels.shape != (s.n,):
         raise ParameterError(f"labels must have length {s.n}")
-    iu, ju = np.triu_indices(s.n, k=1)
-    vals = s.values[iu, ju]
-    keep = vals > floor
+    coo = s.to_csr().tocoo()
+    upper, lower = coo.row < coo.col, coo.row > coo.col
+    iu = np.concatenate([coo.row[upper], coo.col[lower]]).astype(np.int64)
+    ju = np.concatenate([coo.col[upper], coo.row[lower]]).astype(np.int64)
+    vals = np.concatenate([coo.data[upper], coo.data[lower]])
+    _, first = np.unique(iu * s.n + ju, return_index=True)  # first = the upper entry
+    keep = first[vals[first] > floor]
     iu, ju, vals = iu[keep], ju[keep], vals[keep]
     logs = np.log10(vals)
     same = labels[iu] == labels[ju]
@@ -416,6 +435,8 @@ def load_sparse_sim(source: IO[str]) -> SparseSim:
         n, k, c = int(header[0]), int(header[1]), float(header[2])
     except ValueError:
         raise InputFormatError("similarity dump: non-numeric header field") from None
+    if n < 0 or k < 1:
+        raise InputFormatError("similarity dump: header needs n >= 0 and k >= 1")
     method = header[3]
     rows: list[int] = []
     cols: list[int] = []
@@ -434,10 +455,11 @@ def load_sparse_sim(source: IO[str]) -> SparseSim:
         except ValueError:
             raise InputFormatError(f"similarity dump line {lineno}: bad value") from None
     row_arr = np.asarray(rows, dtype=np.int64)
-    counts = np.bincount(row_arr, minlength=n) if row_arr.size else np.zeros(n, np.int64)
-    if row_arr.size and np.any(np.diff(row_arr) < 0):
+    if row_arr.size and (row_arr.min() < 0 or row_arr.max() >= n):
+        raise InputFormatError(f"similarity dump: row id outside [0, {n})")
+    if np.any(np.diff(row_arr) < 0):
         raise InputFormatError("similarity dump: rows out of order")
-    indptr = np.concatenate([[0], np.cumsum(counts)])
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row_arr, minlength=n))])
     return SparseSim(
         n=n,
         k=k,

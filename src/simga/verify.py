@@ -121,7 +121,7 @@ def twin_suite(seed: int = 0, bundles: int = 3) -> SuiteResult:
                 layer.bias += rng.normal(scale=0.5, size=layer.bias.shape)
         sim = precompute_similarity(bundle.graph, hp)
         h = embed(bundle, params, hp, training=False)
-        z = aggregate(sim, h, hp.alpha, hp.skip_form)
+        z = aggregate(sim, h, hp.alpha)
         for u, v in pairs:
             worst = max(worst, float(np.abs(z[u] - z[v]).max()))
     bound = 1e-9

@@ -159,7 +159,7 @@ def test_criterion_5_grouping_effect_twins():
                     layer.weight += rng.normal(scale=1.0, size=layer.weight.shape)
                     layer.bias += rng.normal(scale=1.0, size=layer.bias.shape)
             sim = precompute_similarity(bundle.graph, hp)
-            z = aggregate(sim, embed(bundle, params, hp), hp.alpha, hp.skip_form)
+            z = aggregate(sim, embed(bundle, params, hp), hp.alpha)
             for u, v in pairs:
                 worst = max(worst, float(np.abs(z[u] - z[v]).max()))
     elapsed = time.perf_counter() - t0

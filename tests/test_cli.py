@@ -235,6 +235,19 @@ class TestScoreHistogramDiagnostic:
         inter = sum(int(l.split("\t")[3]) for l in lines[1:])
         assert intra > 0 and inter == 0  # disconnected same-label cliques
 
+    def test_approx_histogram_past_the_dense_limit(self, tmp_path, capsys):
+        # 6667 disjoint triangles (n = 20,001), each node labelled by its corner
+        tri = [f"{3 * t} {3 * t + 1}\n{3 * t + 1} {3 * t + 2}\n{3 * t} {3 * t + 2}\n" for t in range(6667)]
+        (tmp_path / "e.txt").write_text("".join(tri))
+        (tmp_path / "l.txt").write_text("".join(f"{i % 3}\n" for i in range(20_001)))
+        code = main(["simrank", "--edges", str(tmp_path / "e.txt"), "--labels", str(tmp_path / "l.txt"),
+                     "--mode", "approx", "--eps", "0.1", "--k", "4", "--out", str(tmp_path / "out")])
+        assert code == 0
+        lines = (tmp_path / "out" / "score_histogram.tsv").read_text().splitlines()
+        intra = sum(int(l.split("\t")[2]) for l in lines[1:])
+        inter = sum(int(l.split("\t")[3]) for l in lines[1:])
+        assert intra == 0 and inter == 3 * 6667  # every triangle pair, once
+
 
 class TestBenchDegreeScaling:
     def test_precompute_grows_superlinearly_in_degree(self):
@@ -252,3 +265,96 @@ class TestBenchDegreeScaling:
             simrank_localpush(g, 0.6, 0.1)
             timings[degree] = _time.perf_counter() - t0
         assert timings[16] > 2.0 * timings[8]
+
+
+def assert_one_error_line(err):
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+DUMP_MUTATIONS = ["negative_column", "column_past_n", "nan_score", "inf_score", "duplicate_pair",
+                  "descending_columns", "negative_row", "row_past_n"]
+
+
+def _mutate_dump(lines, n, mutation):
+    """A dump's body lines (header excluded) with one named edit that must be refused."""
+    first, last = lines[0].split(), lines[-1].split()
+    return {
+        "negative_column": [f"{first[0]} -1 {first[2]}", *lines[1:]],
+        "column_past_n": [*lines[:-1], f"{last[0]} {n + 51} {last[2]}"],
+        "nan_score": [f"{first[0]} {first[1]} nan", *lines[1:]],
+        "inf_score": [f"{first[0]} {first[1]} inf", *lines[1:]],
+        "duplicate_pair": [lines[0], *lines],
+        "descending_columns": [lines[1], lines[0], *lines[2:]],
+        "negative_row": ["-1 0 0.5", *lines],
+        "row_past_n": [*lines, f"{n} 0 0.5"],
+    }[mutation]
+
+
+class TestMalformedInputs:
+    """Every malformed input ends in exit 2 with one `error:` line, never a traceback."""
+
+    @pytest.mark.parametrize("mutation", DUMP_MUTATIONS)
+    def test_bad_similarity_dump(self, fixture_dir, capsys, mutation):
+        d = fixture_dir
+        main(["simrank", "--edges", str(d / "edges.txt"), "--mode", "exact",
+              "--eps", "0.1", "--k", "16", "--out", str(d / "sim")])
+        header, *body = (d / "sim" / "similarity.txt").read_text().splitlines()
+        bad = _mutate_dump(body, 48, mutation)
+        (d / "bad.txt").write_text("\n".join([header, *bad]) + "\n")
+        capsys.readouterr()
+        code = main(train_args(d, d / "run", ["--sim", str(d / "bad.txt")]))
+        assert code == 2
+        assert_one_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("damage", ["not_npz", "no_version", "no_array", "version_1"])
+    def test_bad_checkpoint(self, fixture_dir, capsys, damage):
+        d = fixture_dir
+        main(train_args(d, d / "run"))
+        with np.load(d / "run" / "checkpoint.npz") as ckpt:
+            arrays = {key: ckpt[key] for key in ckpt.files}
+        if damage == "no_version":
+            del arrays["__format_version__"]
+        elif damage == "no_array":
+            del arrays["mlp_h.0.bias"]
+        elif damage == "version_1":  # written before skip_form was removed
+            hp = json.loads(str(arrays["__hyperparams__"]))
+            arrays["__hyperparams__"] = np.str_(json.dumps({**hp, "skip_form": "main"}))
+            arrays["__format_version__"] = np.int64(1)
+        path = d / "bad.npz"
+        if damage == "not_npz":
+            path.write_bytes(b"not a checkpoint\n")
+        else:
+            np.savez(path, **arrays)
+        capsys.readouterr()
+        code = main(["eval", *bundle_flags(d), "--checkpoint", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        if damage == "version_1":
+            assert "format version 1" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bench", "--ladder", "150,300", "--degree", "nan"],
+         ["bench", "--ladder", "150,300", "--degree", "inf"],
+         ["bench", "--ladder", "abc"]],
+    )
+    def test_bad_bench_values(self, capsys, argv):
+        assert main(argv) == 2
+        assert_one_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flags", [["--lr", "nan"], ["--weight-decay", "inf"]])
+    def test_non_finite_train_flags(self, fixture_dir, capsys, flags):
+        assert main(train_args(fixture_dir, fixture_dir / "run", flags)) == 2
+        assert_one_error_line(capsys.readouterr().err)
+
+    def test_non_finite_feature_names_the_node(self, fixture_dir, capsys):
+        d = fixture_dir
+        feats = np.loadtxt(d / "features.txt")
+        feats[5, 2] = np.nan
+        np.savetxt(d / "features.txt", feats)
+        assert main(train_args(d, d / "run")) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "node 5" in err

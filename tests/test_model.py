@@ -47,7 +47,9 @@ class TestHyperParams:
         "field,value",
         [("delta", 1.5), ("alpha", -0.1), ("c", 1.0), ("k", 0), ("eps", 0.0),
          ("dropout", 1.0), ("lr", 0.0), ("mlp_h_depth", 3), ("sim_mode", "other"),
-         ("skip_form", "both"), ("patience", 0), ("eps", float("nan")), ("eps", float("inf"))],
+         ("patience", 0), ("eps", float("nan")), ("eps", float("inf")),
+         ("lr", float("nan")), ("lr", float("inf")),
+         ("weight_decay", float("nan")), ("weight_decay", float("inf"))],
     )
     def test_bad_values_rejected(self, field, value):
         with pytest.raises(ParameterError):
@@ -135,14 +137,6 @@ class TestAggregate:
         lhs = aggregate(sim, h1 + h2, 0.3)
         rhs = aggregate(sim, h1, 0.3) + aggregate(sim, h2, 0.3)
         assert np.abs(lhs - rhs).max() <= 1e-12
-
-    def test_swapped_form_swaps_coefficients(self):
-        bundle = small_bundle()
-        sim = precompute_similarity(bundle.graph, quick_hp())
-        h = np.random.default_rng(3).normal(size=(bundle.n, 2))
-        main = aggregate(sim, h, 0.3, form="main")
-        swapped = aggregate(sim, h, 0.7, form="alpha_on_agg")
-        assert np.abs(main - swapped).max() <= 1e-12
 
 
 class TestForward:
@@ -309,7 +303,7 @@ class TestGroupingReport:
         hp = quick_hp(max_epochs=150)
         params, _ = fit(bundle, hp)
         sim = precompute_similarity(bundle.graph, hp)
-        z = aggregate(sim, embed(bundle, params, hp), hp.alpha, hp.skip_form)
+        z = aggregate(sim, embed(bundle, params, hp), hp.alpha)
         rep = grouping_report(z, bundle.labels, pair_sample=4000,
                               rng=np.random.default_rng(0))
         assert rep.mean_intra_distance < rep.mean_inter_distance

@@ -9,6 +9,7 @@ from simga.errors import GuardError, InputFormatError, NumericError, ParameterEr
 from simga.graph import build_graph, random_graph
 from simga.simrank import (
     SimMatrix,
+    SparseSim,
     _rows_from_candidates,
     class_score_histogram,
     dump_sparse_sim,
@@ -279,7 +280,7 @@ class TestScoreHistogram:
     def test_uniform_labels_leave_inter_empty(self):
         g = random_graph(20, avg_degree=4, seed=3)
         s = simrank_fixedpoint(g, 0.6, 10)
-        hist = class_score_histogram(s, np.zeros(20, int))
+        hist = class_score_histogram(topk_prune(s, s.n), np.zeros(20, int))
         assert hist.inter_counts.sum() == 0
         assert hist.intra_counts.sum() == hist.pairs_retained
 
@@ -287,7 +288,7 @@ class TestScoreHistogram:
         g = two_cliques(4)
         labels = np.array([0] * 4 + [1] * 4)
         s = simrank_fixedpoint(g, 0.6, 20)
-        hist = class_score_histogram(s, labels)
+        hist = class_score_histogram(topk_prune(s, s.n), labels)
         assert hist.inter_counts.sum() == 0  # cross-component similarity is exactly 0
         assert hist.intra_counts.sum() > 0
 
@@ -295,8 +296,16 @@ class TestScoreHistogram:
         g = random_graph(25, avg_degree=5, seed=6)
         s = simrank_fixedpoint(g, 0.6, 10)
         labels = np.random.default_rng(1).integers(0, 3, size=25)
-        hist = class_score_histogram(s, labels)
+        hist = class_score_histogram(topk_prune(s, s.n), labels)
         assert hist.intra_counts.sum() + hist.inter_counts.sum() == hist.pairs_retained
+
+    def test_pair_kept_by_either_row_counts_once(self):
+        # {0, 1} is kept by both rows, {0, 2} only by row 2
+        s = SparseSim(n=3, k=2, indptr=[0, 2, 4, 6], cols=[0, 1, 0, 1, 0, 2],
+                      scores=[1.0, 0.5, 0.5, 1.0, 0.3, 1.0], method="custom", c=0.6)
+        hist = class_score_histogram(s, np.array([0, 0, 1]))
+        assert hist.pairs_retained == 2
+        assert hist.intra_counts.sum() == 1 and hist.inter_counts.sum() == 1
 
 
 class TestDumpLoad:
