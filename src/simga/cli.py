@@ -156,6 +156,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         args.edges, args.features, args.labels, args.train_split, args.val_split, args.test_split
     )
     params, hp = load_checkpoint(args.checkpoint)
+    trained_n = params.mlp_a[0].weight.shape[0]  # the adjacency branch has one row per node
+    if trained_n != bundle.n:
+        raise InputFormatError(
+            f"checkpoint {args.checkpoint} was trained on {trained_n} nodes, the graph has {bundle.n}"
+        )
     if args.sim:
         with open(args.sim) as fh:
             sim = load_sparse_sim(fh)

@@ -77,12 +77,17 @@ def _check_invariants(g: Graph) -> None:
         raise InputFormatError("degree sum must equal 2m")
     if len(g.neighbors) and (g.neighbors.min() < 0 or g.neighbors.max() >= g.n):
         raise InputFormatError("neighbor id out of range")
-    for u in range(g.n):
-        nb = g.neighbor_slice(u)
-        if nb.size and np.any(np.diff(nb) <= 0):
-            raise InputFormatError(f"neighbor list of node {u} not strictly increasing")
-        if np.any(nb == u):
-            raise InputFormatError(f"self-loop at node {u}")
+    # the first node, by id, whose list is out of order or holds itself; out of
+    # order is reported first when one node has both
+    owner = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
+    unordered = owner[1:][(owner[1:] == owner[:-1]) & (np.diff(g.neighbors) <= 0)]
+    looped = owner[g.neighbors == owner]
+    u_order = int(unordered[0]) if unordered.size else g.n
+    u_loop = int(looped[0]) if looped.size else g.n
+    if u_order < g.n and u_order <= u_loop:
+        raise InputFormatError(f"neighbor list of node {u_order} not strictly increasing")
+    if u_loop < g.n:
+        raise InputFormatError(f"self-loop at node {u_loop}")
     # symmetry: u in N(v) iff v in N(u)
     a = g.adjacency_csr()
     if abs(a - a.T).nnz != 0:

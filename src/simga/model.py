@@ -30,6 +30,7 @@ from .nn import (
     LinearLayer,
     adam_init,
     adam_step,
+    draws_dropout,
     ensure_finite,
     init_linear,
     mlp_backward,
@@ -215,8 +216,13 @@ def _embed_with_cache(
     adj = bundle.graph.adjacency_csr()
     hf, cache_f = mlp_forward(params.mlp_f, bundle.features, hp.dropout, training, rng)
     la = params.mlp_a[0]
-    ha = adj @ la.weight + la.bias
-    combined = hp.delta * hf + (1.0 - hp.delta) * ha
+    # combined = delta * hf + (1 - delta) * (adj @ W_a + b_a), built in place;
+    # hf is the single layer's output, which backward does not read
+    combined = adj @ la.weight
+    combined += la.bias
+    combined *= 1.0 - hp.delta
+    hf *= hp.delta
+    combined += hf
     hh, cache_h = mlp_forward(params.mlp_h, combined, hp.dropout, training, rng)
     ensure_finite(hh, "embedding")
     return hh, {"cache_f": cache_f, "cache_h": cache_h, "adj": adj}
@@ -271,7 +277,7 @@ def _backward(bundle, s, params, hp, cache, grad_z) -> list[np.ndarray]:
     grad_combined, grads_h = mlp_backward(params.mlp_h, cache["cache_h"], grad_h)
     grad_hf = hp.delta * grad_combined
     grad_ha = (1.0 - hp.delta) * grad_combined
-    _, grads_f = mlp_backward(params.mlp_f, cache["cache_f"], grad_hf)
+    _, grads_f = mlp_backward(params.mlp_f, cache["cache_f"], grad_hf, input_grad=False)
     gw_a = (cache["adj"].T @ grad_ha)
     gb_a = grad_ha.sum(axis=0)
     flat: list[np.ndarray] = []
@@ -350,6 +356,12 @@ def fit(
     The similarity matrix is precomputed (and timed separately) unless one is
     passed in. Stops after `patience` epochs without a new validation best,
     restores the best parameters, and reports test accuracy there.
+
+    An epoch is one training step (forward, loss, backward, Adam) and one
+    eval pass at the updated parameters for the validation accuracy. The next
+    epoch's training forward runs at those same parameters, so it reuses the
+    eval pass where dropout reaches nothing (dropout acts only between head
+    layers, so at mlp_h_depth=1 or dropout=0) and runs afresh otherwise.
     """
     for name, split in (("train", bundle.train_idx), ("val", bundle.val_idx), ("test", bundle.test_idx)):
         if split.size == 0:
@@ -365,36 +377,44 @@ def fit(
     params = init_params(rng, bundle.num_features, bundle.n, bundle.num_classes, hp)
     arrays = params.arrays()
     state: AdamState = adam_init(arrays)
+    head_dropout = draws_dropout(params.mlp_h, hp.dropout)
 
     best = params.clone()
     best_val = -1.0
     best_epoch = 0
     since_best = 0
     curve: list[dict] = []
+    evaluated = None  # (logits, cache) of the last eval pass, at the current parameters
     for epoch in range(1, hp.max_epochs + 1):
         try:
-            z, cache = _logits_with_cache(bundle, sim, params, hp, training=True, rng=rng)
+            if evaluated is None or head_dropout:
+                z, cache = _logits_with_cache(bundle, sim, params, hp, training=True, rng=rng)
+            else:
+                z, cache = evaluated
+            evaluated = None
             loss, grad_z = softmax_cross_entropy(z, bundle.labels, bundle.train_idx)
             if not math.isfinite(loss):
                 raise DivergenceError(f"non-finite training loss at epoch {epoch}")
             grads = _backward(bundle, sim, params, hp, cache, grad_z)
             adam_step(arrays, grads, state, hp.lr, hp.weight_decay)
-            z_eval, _ = _logits_with_cache(bundle, sim, params, hp, training=False, rng=None)
+            evaluated = _logits_with_cache(bundle, sim, params, hp, training=False, rng=None)
         except DivergenceError:
             raise
         except NumericError as exc:
             raise DivergenceError(f"training diverged at epoch {epoch}: {exc}") from exc
-        val_acc = _accuracy(z_eval, bundle.labels, bundle.val_idx)
+        val_acc = _accuracy(evaluated[0], bundle.labels, bundle.val_idx)
         curve.append({"epoch": epoch, "loss": loss, "val_acc": val_acc})
         if val_acc > best_val:
             best_val = val_acc
             best_epoch = epoch
-            best = params.clone()
+            for dst, src in zip(best.arrays(), arrays):
+                np.copyto(dst, src)
             since_best = 0
         else:
             since_best += 1
             if since_best >= hp.patience:
                 break
+    del evaluated
     test_acc = evaluate(bundle, sim, best, hp, bundle.test_idx)
     train_seconds = time.perf_counter() - t0
     report = TrainReport(

@@ -7,7 +7,7 @@ Training is bit-reproducible for a fixed seed in single-threaded mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,6 +17,7 @@ __all__ = [
     "ensure_finite",
     "LinearLayer",
     "init_linear",
+    "draws_dropout",
     "mlp_forward",
     "mlp_backward",
     "relu_pre_activations",
@@ -54,6 +55,11 @@ def init_linear(rng: np.random.Generator, fan_in: int, fan_out: int) -> LinearLa
     return LinearLayer(weight=weight, bias=np.zeros(fan_out))
 
 
+def draws_dropout(layers: list[LinearLayer], dropout: float) -> bool:
+    """Whether a training mlp_forward over these layers draws dropout masks."""
+    return dropout > 0.0 and len(layers) > 1
+
+
 def mlp_forward(
     layers: list[LinearLayer],
     x: np.ndarray,
@@ -66,7 +72,7 @@ def mlp_forward(
     While training, inverted dropout is applied to each hidden activation, so
     evaluation needs no rescaling. Returns (output, cache for backward).
     """
-    if training and dropout > 0.0 and len(layers) > 1 and rng is None:
+    if training and draws_dropout(layers, dropout) and rng is None:
         raise ParameterError("dropout during training needs an rng")
     inputs: list[np.ndarray] = []
     pre: list[np.ndarray] = []
@@ -96,9 +102,13 @@ def mlp_forward(
 
 
 def mlp_backward(
-    layers: list[LinearLayer], cache: dict, grad_out: np.ndarray
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Backprop through mlp_forward; returns (grad wrt input, [(dW, db)] per layer)."""
+    layers: list[LinearLayer], cache: dict, grad_out: np.ndarray, input_grad: bool = True
+) -> tuple[np.ndarray | None, list[tuple[np.ndarray, np.ndarray]]]:
+    """Backprop through mlp_forward; returns (grad wrt input, [(dW, db)] per layer).
+
+    With input_grad=False the first layer's input gradient is not computed
+    and None comes back in its place (the input is data, not a parameter).
+    """
     grads: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(layers)
     g = grad_out
     last = len(layers) - 1
@@ -109,7 +119,7 @@ def mlp_backward(
                 g = g * mask
             g = g * (cache["pre"][i] > 0.0)
         grads[i] = (cache["inputs"][i].T @ g, g.sum(axis=0))
-        g = g @ layers[i].weight.T
+        g = g @ layers[i].weight.T if i or input_grad else None
     return g, grads  # type: ignore[return-value]
 
 
@@ -150,6 +160,12 @@ def softmax_cross_entropy(
     return loss, grad
 
 
+# Elements per Adam block: the block's six float64 streams (param, grad, m, v
+# and two scratch rows) take 6 * 256 KB, inside a 2 MB L2. Tuned on the
+# benchmark host (Xeon, 2 MB L2 per core) over block sizes 4096-65536.
+ADAM_BLOCK = 32768
+
+
 @dataclass
 class AdamState:
     m: list[np.ndarray]
@@ -158,6 +174,7 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, ADAM_BLOCK)), repr=False)
 
 
 def adam_init(params: list[np.ndarray]) -> AdamState:
@@ -171,20 +188,43 @@ def adam_step(
     lr: float,
     weight_decay: float = 0.0,
 ) -> AdamState:
-    """One bias-corrected Adam update, in place; weight decay enters as +wd*theta on the gradient."""
+    """One bias-corrected Adam update, in place; weight decay enters as +wd*theta on the gradient.
+
+    Per element, with g' = g + wd*theta:
+    m = b1*m + (1-b1)*g',  v = b2*v + (1-b2)*g'^2,  theta -= lr*(m/bc1) / (sqrt(v/bc2) + eps).
+    Each array is updated in blocks of leading-axis rows holding at most
+    ADAM_BLOCK elements, with the state's two scratch rows as temporaries, so
+    a step allocates no array and a block's streams stay in cache.
+    """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ParameterError("params/grads/state length mismatch")
     state.step += 1
-    bc1 = 1.0 - state.beta1**state.step
-    bc2 = 1.0 - state.beta2**state.step
+    b1, b2 = state.beta1, state.beta2
+    bc1 = 1.0 - b1**state.step
+    bc2 = 1.0 - b2**state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        if weight_decay:
-            g = g + weight_decay * p
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        rows = max(1, ADAM_BLOCK // max(1, p[:1].size))
+        if p[:rows].size > state.scratch.shape[1]:  # one row wider than a block
+            state.scratch = np.empty((2, p[:rows].size))
+        for lo in range(0, len(p), rows):
+            pb, gb, mb, vb = (arr[lo : lo + rows] for arr in (p, g, m, v))
+            a, b = (row[: pb.size].reshape(pb.shape) for row in state.scratch)
+            if weight_decay:
+                np.multiply(pb, weight_decay, out=a)
+                gb = np.add(gb, a, out=a)
+            mb *= b1
+            mb += np.multiply(gb, 1.0 - b1, out=b)
+            vb *= b2
+            np.multiply(gb, gb, out=b)
+            b *= 1.0 - b2
+            vb += b
+            np.divide(vb, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += state.eps
+            np.divide(mb, bc1, out=a)
+            a *= lr
+            a /= b
+            pb -= a
     return state
 
 

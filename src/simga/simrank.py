@@ -265,7 +265,9 @@ def simrank_localpush(
         rows.append(np.searchsorted(res.indptr, hot, side="right") - 1)
         cols.append(res.indices[hot])
         vals.append(res.data[hot])
-        sel = sp.csr_matrix((vals[-1], cols[-1], np.searchsorted(hot, res.indptr)), shape=(n, n))
+        # index arrays already in R's index dtype, so scipy neither scans nor copies them
+        indptr = np.searchsorted(hot, res.indptr).astype(res.indptr.dtype, copy=False)
+        sel = sp.csr_matrix((vals[-1], cols[-1], indptr), shape=(n, n))
         res.data[hot] = 0.0  # R - sel; the sum below drops the explicit zeros
         spread = p @ sel @ pt
         spread.data *= decay

@@ -8,23 +8,28 @@ from simga.data import gen_structural_heterophily
 from simga.simrank import load_sparse_sim
 
 
-@pytest.fixture
-def fixture_dir(tmp_path):
-    """Write a small structural-heterophily bundle in the documented text formats."""
-    bundle = gen_structural_heterophily(seed=0, n=48, classes=2)
+def write_bundle(d, bundle):
+    """Write a bundle in the documented text formats into directory d."""
+    d.mkdir(parents=True, exist_ok=True)
     g = bundle.graph
     lines = ["# generated fixture"]
     for u in range(g.n):
         for v in g.neighbor_slice(u):
             if u < v:
                 lines.append(f"{u} {v}")
-    (tmp_path / "edges.txt").write_text("\n".join(lines) + "\n")
-    np.savetxt(tmp_path / "features.txt", bundle.features)
-    np.savetxt(tmp_path / "labels.txt", bundle.labels, fmt="%d")
-    np.savetxt(tmp_path / "train.txt", bundle.train_idx, fmt="%d")
-    np.savetxt(tmp_path / "val.txt", bundle.val_idx, fmt="%d")
-    np.savetxt(tmp_path / "test.txt", bundle.test_idx, fmt="%d")
-    return tmp_path
+    (d / "edges.txt").write_text("\n".join(lines) + "\n")
+    np.savetxt(d / "features.txt", bundle.features)
+    np.savetxt(d / "labels.txt", bundle.labels, fmt="%d")
+    np.savetxt(d / "train.txt", bundle.train_idx, fmt="%d")
+    np.savetxt(d / "val.txt", bundle.val_idx, fmt="%d")
+    np.savetxt(d / "test.txt", bundle.test_idx, fmt="%d")
+    return d
+
+
+@pytest.fixture
+def fixture_dir(tmp_path):
+    """A small structural-heterophily bundle in the documented text formats."""
+    return write_bundle(tmp_path, gen_structural_heterophily(seed=0, n=48, classes=2))
 
 
 def bundle_flags(d):
@@ -333,6 +338,26 @@ class TestMalformedInputs:
         assert_one_error_line(err)
         if damage == "version_1":
             assert "format version 1" in err
+
+    def test_eval_on_another_node_count(self, tmp_path, capsys):
+        big = write_bundle(tmp_path / "n800", gen_structural_heterophily(seed=0, n=800, classes=4))
+        small = tmp_path / "n700"  # the first 700 nodes of the same input
+        small.mkdir()
+        edges = np.loadtxt(big / "edges.txt", dtype=np.int64)
+        np.savetxt(small / "edges.txt", edges[(edges < 700).all(axis=1)], fmt="%d")
+        for name in ("features", "labels"):
+            rows = (big / f"{name}.txt").read_text().splitlines(keepends=True)
+            (small / f"{name}.txt").write_text("".join(rows[:700]))
+        for name in ("train", "val", "test"):
+            idx = np.loadtxt(big / f"{name}.txt", dtype=np.int64)
+            np.savetxt(small / f"{name}.txt", idx[idx < 700], fmt="%d")
+        assert main(train_args(big, tmp_path / "run", ["--max-epochs", "2"])) == 0
+        capsys.readouterr()
+        code = main(["eval", *bundle_flags(small), "--checkpoint", str(tmp_path / "run" / "checkpoint.npz")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "trained on 800 nodes, the graph has 700" in err
 
     @pytest.mark.parametrize(
         "argv",

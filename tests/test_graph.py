@@ -80,6 +80,29 @@ class TestGraphInvariants:
                     stack.append(v)
         assert len(seen) == g.n
 
+    @pytest.mark.parametrize(
+        "lists,message",
+        [
+            ([[2, 1], [0], [0]], "neighbor list of node 0 not strictly increasing"),
+            ([[1, 2], [0, 2], [1, 0]], "neighbor list of node 2 not strictly increasing"),
+            ([[1, 2], [0, 1], [0, 2]], "self-loop at node 1"),
+            ([[1, 2], [0, 1], [1, 0]], "self-loop at node 1"),  # node 2 is out of order too
+            ([[1, 2], [1, 0], [0, 2]], "neighbor list of node 1 not strictly increasing"),
+        ],
+    )
+    def test_bad_neighbor_list_names_the_first_node(self, lists, message):
+        from simga.graph import Graph
+
+        degrees = np.array([len(nb) for nb in lists])
+        with pytest.raises(InputFormatError, match=f"^{message}$"):
+            Graph(
+                n=len(lists),
+                m=int(degrees.sum()) // 2,
+                offsets=np.concatenate([[0], np.cumsum(degrees)]),
+                neighbors=np.array([v for nb in lists for v in nb]),
+                degrees=degrees,
+            )
+
     def test_asymmetric_input_rejected(self):
         from simga.graph import Graph
 

@@ -199,6 +199,49 @@ class TestFit:
             adam_step(arrays, grads, state, hp.lr, weight_decay=0.0)
         assert evaluate(bundle, sim, params, hp, bundle.train_idx) == 1.0
 
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_matches_two_forward_reference_loop(self, depth):
+        # fit reuses each eval pass as the next training forward; a plain loop
+        # with a training forward, a textbook Adam step and an eval forward per
+        # epoch must give the same run bit for bit
+        bundle = small_bundle(seed=2, n=120)
+        hp = quick_hp(mlp_h_depth=depth, dropout=0.5, weight_decay=5e-4, max_epochs=60, patience=8)
+        sim = precompute_similarity(bundle.graph, hp)
+        params, report = fit(bundle, hp, sim=sim)
+
+        rng = np.random.default_rng(hp.seed)
+        ref = init_params(rng, bundle.num_features, bundle.n, bundle.num_classes, hp)
+        arrays = ref.arrays()
+        m = [np.zeros_like(a) for a in arrays]
+        v = [np.zeros_like(a) for a in arrays]
+        best, best_val, best_epoch, since_best, curve = [a.copy() for a in arrays], -1.0, 0, 0, []
+        for epoch in range(1, hp.max_epochs + 1):
+            loss, grads, _ = loss_and_grads(bundle, sim, ref, hp, bundle.train_idx, training=True, rng=rng)
+            bc1, bc2 = 1.0 - 0.9**epoch, 1.0 - 0.999**epoch
+            for p, g, mi, vi in zip(arrays, grads, m, v):
+                g = g + hp.weight_decay * p
+                mi *= 0.9
+                mi += (1.0 - 0.9) * g
+                vi *= 0.999
+                vi += (1.0 - 0.999) * (g * g)
+                p -= hp.lr * (mi / bc1) / (np.sqrt(vi / bc2) + 1e-8)
+            z = aggregate(sim, embed(bundle, ref, hp), hp.alpha)
+            val = bundle.val_idx
+            val_acc = float(np.mean(np.argmax(z[val], axis=1) == bundle.labels[val]))
+            curve.append({"epoch": epoch, "loss": loss, "val_acc": val_acc})
+            if val_acc > best_val:
+                best_val, best_epoch, since_best = val_acc, epoch, 0
+                best = [a.copy() for a in arrays]
+            else:
+                since_best += 1
+                if since_best >= hp.patience:
+                    break
+        assert report.curve == curve
+        assert report.best_epoch == best_epoch
+        for got, want in zip(params.arrays(), best):
+            assert np.array_equal(got, want)
+        assert report.test_accuracy == evaluate(bundle, sim, params, hp, bundle.test_idx)
+
     def test_wall_clock_accounting(self):
         bundle = small_bundle()
         hp = quick_hp(max_epochs=40)

@@ -3,6 +3,7 @@ import pytest
 
 from simga.errors import NumericError, ParameterError
 from simga.nn import (
+    ADAM_BLOCK,
     LinearLayer,
     adam_init,
     adam_step,
@@ -156,6 +157,36 @@ class TestAdam:
             adam_step([theta], [np.zeros(1)], state, lr=0.05, weight_decay=0.1)
             assert 0.0 <= theta[0] < prev
             prev = theta[0]
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    def test_matches_reference_formula_bit_for_bit(self, weight_decay):
+        def reference_step(params, grads, state, lr, wd):
+            state.step += 1
+            bc1 = 1.0 - state.beta1**state.step
+            bc2 = 1.0 - state.beta2**state.step
+            for p, g, m, v in zip(params, grads, state.m, state.v):
+                if wd:
+                    g = g + wd * p
+                m *= state.beta1
+                m += (1.0 - state.beta1) * g
+                v *= state.beta2
+                v += (1.0 - state.beta2) * (g * g)
+                p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+
+        rng = np.random.default_rng(0)
+        rows = ADAM_BLOCK // 64
+        # row counts that are not a multiple of the block's rows, 1-D biases
+        # longer and shorter than a block, and rows wider than a block
+        shapes = [(3 * rows + 17, 64), (64,), (rows - 1, 64), (ADAM_BLOCK + 5,), (3,), (2, ADAM_BLOCK + 1)]
+        params = [rng.standard_normal(s) for s in shapes]
+        expect = [p.copy() for p in params]
+        state, ref_state = adam_init(params), adam_init(expect)
+        for _ in range(5):
+            grads = [rng.standard_normal(s) for s in shapes]
+            adam_step(params, grads, state, lr=0.01, weight_decay=weight_decay)
+            reference_step(expect, grads, ref_state, 0.01, weight_decay)
+        for got, want in zip(params + state.m + state.v, expect + ref_state.m + ref_state.v):
+            assert np.array_equal(got, want)
 
     def test_step_counter_increases(self):
         theta = np.array([1.0])
