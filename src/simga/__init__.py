@@ -1,12 +1,12 @@
 """SimRank-based global aggregation for heterophilous node classification.
 
 Subpackage map:
-  graph    CSR graph container, edge-list loader, homophily, transition matrix
+  graph    CSR graph container, edge-list loader, homophily, transition matrix P as CSR
   data     dataset bundles, text-format loaders, synthetic generators
-  simrank  exact / power-series / local-push SimRank, top-k pruning, aggregation
+  simrank  exact / power-series / local-push SimRank, top-k pruning, aggregation, dump/load
   walks    random-walk oracles (tour enumeration, meeting probabilities, first-meeting walk series)
   nn       dense MLP stack with hand-derived gradients, Adam, gradient checking
-  model    the similarity-aggregation classifier, training loop, diagnostics
+  model    the classifier, precompute_similarity (the one route to S), training loop, diagnostics
   verify   executable equivalence suites
   bench    scaling-ladder benchmark
   cli      command-line entry point (`simga`)
@@ -23,7 +23,6 @@ from .errors import (
 )
 from .graph import (
     Graph,
-    TransitionMatrix,
     build_graph,
     load_edge_list,
     node_homophily,
@@ -56,7 +55,6 @@ from .simrank import (
     simrank_fixedpoint,
     simrank_localpush,
     simrank_power_series,
-    simrank_production,
     sparse_aggregate,
     topk_from_push,
     topk_prune,

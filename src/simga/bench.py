@@ -15,9 +15,8 @@ import numpy as np
 from .data import DatasetBundle
 from .errors import ParameterError
 from .graph import random_graph
-from .model import HyperParams, _backward, _logits_with_cache, init_params
+from .model import HyperParams, _backward, _logits_with_cache, init_params, precompute_similarity
 from .nn import adam_init, adam_step, softmax_cross_entropy
-from .simrank import simrank_localpush, topk_from_push
 
 __all__ = ["BenchRow", "BenchResult", "run_bench", "format_tsv"]
 
@@ -66,8 +65,7 @@ def run_bench(
         hp = HyperParams(k=k, eps=eps, c=c, sim_mode="approx", dropout=0.0, width=64)
 
         t0 = time.perf_counter()
-        raw = simrank_localpush(bundle.graph, c, eps)
-        sim = topk_from_push(raw, k)
+        sim = precompute_similarity(bundle.graph, hp)
         precompute_seconds = time.perf_counter() - t0
 
         params = init_params(rng, bundle.num_features, n, bundle.num_classes, hp)

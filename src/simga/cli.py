@@ -1,8 +1,10 @@
 """Command-line entry points: homophily | simrank | train | eval | verify | bench.
 
 Exit codes are stable: 0 success, 2 input error, 3 numeric failure, 4 guard
-refusal. Every subcommand is deterministic given --seed, apart from wall-clock
-fields in reports.
+refusal (a dense-size guard, or an allocation the machine cannot make).
+Every subcommand is deterministic, apart from wall-clock fields in reports:
+train, verify and bench take --seed; homophily, simrank and eval draw no
+random numbers.
 """
 
 from __future__ import annotations
@@ -18,18 +20,20 @@ from typing import get_type_hints
 import numpy as np
 
 from .bench import format_tsv, run_bench
-from .data import load_bundle
+from .data import load_bundle, load_labels
 from .errors import GuardError, InputFormatError, NumericError, ParameterError
 from .graph import load_edge_list, node_homophily
 from .model import (
     HyperParams,
+    aggregate,
+    embed,
     evaluate,
     fit,
     load_checkpoint,
     precompute_similarity,
     save_checkpoint,
 )
-from .simrank import dump_sparse_sim, load_sparse_sim
+from .simrank import class_score_histogram, dump_sparse_sim, load_sparse_sim
 from .verify import run_all
 
 EXIT_OK = 0
@@ -78,8 +82,6 @@ def _out_dir(args: argparse.Namespace) -> Path:
 def cmd_homophily(args: argparse.Namespace) -> int:
     with open(args.edges) as fh:
         g = load_edge_list(fh)
-    from .data import load_labels
-
     with open(args.labels) as fh:
         labels = load_labels(fh)
     print(f"{node_homophily(g, labels):.4f}")
@@ -101,9 +103,6 @@ def cmd_simrank(args: argparse.Namespace) -> int:
     print(f"wrote\t{out}")
     if args.labels:
         # intra/inter-class score distribution of the retained S
-        from .data import load_labels
-        from .simrank import class_score_histogram
-
         with open(args.labels) as fh:
             labels = load_labels(fh)
         hist = class_score_histogram(sim, labels)
@@ -127,8 +126,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.sim:
         with open(args.sim) as fh:
             sim = load_sparse_sim(fh)
-        # record the dump's provenance so a checkpoint-driven recompute
-        # (eval without --sim) reproduces the similarity actually trained on
+        # record the dump's c, k and mode for a checkpoint-driven recompute
+        # (eval without --sim). The dump header has no eps, so the checkpoint
+        # keeps this run's eps: the recompute reproduces the trained S only
+        # when the dump was made at that eps too
         hp = dataclasses.replace(
             hp, c=sim.c, k=sim.k, sim_mode="exact" if sim.method == "fixedpoint" else "approx"
         )
@@ -141,8 +142,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.export_embeddings:
         if sim is None:
             sim = precompute_similarity(bundle.graph, hp)
-        from .model import aggregate, embed
-
         z = aggregate(sim, embed(bundle, params, hp), hp.alpha)
         np.savetxt(out / "embeddings.txt", z)
     print(f"test_accuracy\t{report.test_accuracy:.6f}")
@@ -215,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("homophily", help="print the node homophily of a labeled graph")
     _add_shared_io(p, need_bundle=False)
     p.add_argument("--labels", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_homophily)
 
     p = sub.add_parser("simrank", help="precompute top-k sparse similarity and dump it")
@@ -226,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help=f"entries kept per row, default {HyperParams.k}")
     p.add_argument("--mode", dest="sim_mode", choices=["exact", "approx"],
                    help=f"default {HyperParams.sim_mode}")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_simrank)
 
@@ -243,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--sim", help="precomputed similarity dump")
     p.add_argument("--split", choices=["train", "val", "test"], default="test")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", help="optional output directory for eval.json")
     p.set_defaults(func=cmd_eval)
 
@@ -272,11 +268,17 @@ def main(argv: list[str] | None = None) -> int:
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except MemoryError as exc:  # e.g. a node id or label that sizes an array past the machine
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_GUARD
     except (NumericError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (InputFormatError, ParameterError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OverflowError as exc:  # an integer input past the int64 range
+        print(f"error: integer input outside the int64 range: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

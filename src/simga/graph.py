@@ -20,7 +20,6 @@ from .errors import InputFormatError, ParameterError
 
 __all__ = [
     "Graph",
-    "TransitionMatrix",
     "build_graph",
     "load_edge_list",
     "node_homophily",
@@ -159,36 +158,16 @@ def node_homophily(g: Graph, labels: np.ndarray) -> float:
     return float((sums[active] / g.degrees[active]).mean())
 
 
-@dataclass
-class TransitionMatrix:
-    """Row-stochastic random-walk matrix: row u holds 1/deg(u) at each neighbor.
+def transition(g: Graph) -> sp.csr_matrix:
+    """Row-stochastic random-walk matrix P as CSR: row u holds 1/deg(u) at each neighbor.
 
     Rows of isolated nodes are all-zero (walk mass is absorbed there).
     """
-
-    graph: Graph
-    inv_degree: np.ndarray
-    csr: sp.csr_matrix = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    def propagate(self, x: np.ndarray) -> np.ndarray:
-        """One walk step: returns x @ P for a vector or matrix of rows."""
-        return x @ self.csr
-
-    def dense(self) -> np.ndarray:
-        return self.csr.toarray()
-
-
-def transition(g: Graph) -> TransitionMatrix:
     inv_degree = np.zeros(g.n)
     nz = g.degrees > 0
     inv_degree[nz] = 1.0 / g.degrees[nz]
     data = np.repeat(inv_degree, g.degrees)
-    csr = sp.csr_matrix((data, g.neighbors.copy(), g.offsets.copy()), shape=(g.n, g.n))
-    return TransitionMatrix(graph=g, inv_degree=inv_degree, csr=csr)
+    return sp.csr_matrix((data, g.neighbors.copy(), g.offsets.copy()), shape=(g.n, g.n))
 
 
 def random_graph(

@@ -41,8 +41,8 @@ from .nn import (
 )
 from .simrank import (
     SparseSim,
+    simrank_fixedpoint,
     simrank_localpush,
-    simrank_production,
     sparse_aggregate,
     topk_from_push,
     topk_prune,
@@ -199,11 +199,17 @@ def init_params(
 
 
 def precompute_similarity(g: Graph, hp: HyperParams) -> SparseSim:
-    """One-time global similarity: exact fixed point or push, then top-k pruning."""
+    """The one production route to S: exact fixed point or push, then top-k pruning.
+
+    exact  -> the fixed point run for ceil(log_c eps) iterations (absolute
+              accuracy eps), top-k of each row.
+    approx -> the push at eps, (1-c)-rescaled with the diagonal pinned to 1,
+              top-k of each row; never dense, so it works past DENSE_LIMIT.
+    """
     if hp.sim_mode == "exact":
-        return topk_prune(simrank_production(g, hp.c, hp.eps, "exact"), hp.k)
-    raw = simrank_localpush(g, hp.c, hp.eps)
-    return topk_from_push(raw, hp.k)
+        iterations = max(1, math.ceil(math.log(hp.eps) / math.log(hp.c)))
+        return topk_prune(simrank_fixedpoint(g, hp.c, iterations), hp.k)
+    return topk_from_push(simrank_localpush(g, hp.c, hp.eps), hp.k)
 
 
 def _embed_with_cache(

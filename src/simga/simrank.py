@@ -25,9 +25,8 @@ committed in two rounds counts twice). E is symmetric only up to rounding in
 the sparse products: at eps 0.1 the largest |E - E^T| was 0 on a 4000-node
 ring graph and 6.9e-18 on a 40000-node uniform graph of degree 8.
 
-The production approximate path rescales the raw push sum by (1-c) and pins
-the diagonal to 1.
-
+The top-k similarity the model consumes comes from model.precompute_similarity
+alone: topk_prune over the fixed point, or topk_from_push over the push.
 Dense similarity matrices are only allowed up to DENSE_LIMIT nodes; past that
 only the push + top-k sparse route is available.
 """
@@ -53,8 +52,6 @@ __all__ = [
     "simrank_fixedpoint",
     "simrank_power_series",
     "simrank_localpush",
-    "simrank_production",
-    "production_from_push",
     "topk_prune",
     "topk_from_push",
     "sparse_aggregate",
@@ -92,7 +89,6 @@ class SimMatrix:
     method: str
     c: float
     iterations: int | None = None
-    eps: float | None = None
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -136,14 +132,6 @@ class RawPushMatrix:
 
     def max_residual(self) -> float:
         return float(self.residual.data.max(initial=0.0))
-
-    def estimate_dense(self) -> np.ndarray:
-        _dense_guard(self.n, "raw push export")
-        return self.estimate.toarray()
-
-    def residual_dense(self) -> np.ndarray:
-        _dense_guard(self.n, "raw push residual export")
-        return self.residual.toarray()
 
 
 @dataclass
@@ -207,7 +195,7 @@ def simrank_fixedpoint(g: Graph, c: float, iterations: int) -> SimMatrix:
     if iterations < 1:
         raise ParameterError("need at least one iteration")
     _dense_guard(g.n, "fixed-point SimRank")
-    p = transition(g).csr
+    p = transition(g)
     pt = p.T.tocsr()
     s = np.eye(g.n)
     for _ in range(iterations):
@@ -223,7 +211,7 @@ def simrank_power_series(g: Graph, c: float, terms: int) -> SimMatrix:
     if terms < 0:
         raise ParameterError("terms must be >= 0")
     _dense_guard(g.n, "power-series SimRank")
-    p = transition(g).csr
+    p = transition(g)
     pt = p.T.tocsr()
     term = (1.0 - c) * np.eye(g.n)
     acc = term.copy()
@@ -251,7 +239,7 @@ def simrank_localpush(
     decay = c if _decay_override is None else _decay_override
     n = g.n
     threshold = (1.0 - c) * eps
-    p = transition(g).csr
+    p = transition(g)
     pt = p.T.tocsr()
     res = sp.identity(n, format="csr")
     # committed entries of every round as (row, col, value); E is their sum
@@ -278,36 +266,6 @@ def simrank_localpush(
     return RawPushMatrix(
         n=n, c=c, eps=eps, estimate=PairMatrix(est), residual=PairMatrix(res), pops=pops
     )
-
-
-def production_iterations(c: float, eps: float) -> int:
-    """Fixed-point iteration count hitting absolute accuracy eps: ceil(log_c eps)."""
-    return max(1, math.ceil(math.log(eps) / math.log(c)))
-
-
-def simrank_production(g: Graph, c: float, eps: float, mode: str) -> SimMatrix:
-    """The similarity matrix the model consumes.
-
-    exact  -> fixed point run for ceil(log_c eps) iterations.
-    approx -> (1-c) * raw push sum with the diagonal then pinned to 1.
-    """
-    _check_decay(c)
-    _check_eps(eps)
-    if mode == "exact":
-        s = simrank_fixedpoint(g, c, production_iterations(c, eps))
-        s.eps = eps
-        return s
-    if mode == "approx":
-        return production_from_push(simrank_localpush(g, c, eps))
-    raise ParameterError(f"mode must be 'exact' or 'approx', got {mode!r}")
-
-
-def production_from_push(raw: RawPushMatrix) -> SimMatrix:
-    """Dense production matrix from an existing push run: (1-c)-rescale, pin diagonal."""
-    _dense_guard(raw.n, "dense approximate SimRank")
-    out = (1.0 - raw.c) * raw.estimate.toarray()
-    np.fill_diagonal(out, 1.0)
-    return SimMatrix(values=out, method="localpush", c=raw.c, eps=raw.eps)
 
 
 def _rows_from_candidates(

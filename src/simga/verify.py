@@ -101,7 +101,7 @@ def push_suite(
         if raw.max_residual() > (1.0 - c) * eps:
             guard_ok = False
         series = simrank_power_series(g, c, 50).values
-        gap = float(np.abs((1.0 - c) * raw.estimate_dense() - series).max())
+        gap = float(np.abs((1.0 - c) * raw.estimate.toarray() - series).max())
         worst = max(worst, gap)
     passed = guard_ok and worst <= eps
     detail = f"{graphs} graphs, eps={eps}" + ("" if guard_ok else "; residual guard violated")

@@ -21,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import GuardError, ParameterError
-from .graph import Graph, TransitionMatrix, transition
+from .graph import Graph, transition
 from .simrank import SimMatrix, _dense_guard
 
 __all__ = [
@@ -58,16 +59,17 @@ class WalkDistribution:
             raise ParameterError("walk distribution mass exceeds 1")
 
 
-def walk_distribution(p: TransitionMatrix, u: int, length: int) -> WalkDistribution:
-    """e_u P^length via repeated sparse application."""
+def walk_distribution(p: sp.csr_matrix, u: int, length: int) -> WalkDistribution:
+    """e_u P^length via repeated sparse application; p is transition(g)."""
     if length < 0:
         raise ParameterError("length must be >= 0")
-    if not (0 <= u < p.n):
+    n = p.shape[0]
+    if not (0 <= u < n):
         raise ParameterError(f"source node {u} out of range")
-    x = np.zeros(p.n)
+    x = np.zeros(n)
     x[u] = 1.0
     for _ in range(length):
-        x = p.propagate(x)
+        x = x @ p
     return WalkDistribution(source=u, length=length, probs=x)
 
 
@@ -102,7 +104,7 @@ def enumerate_tours(g: Graph, u: int, length: int) -> dict[int, float]:
     return out
 
 
-def meeting_probability(p: TransitionMatrix, u: int, v: int, length: int) -> float:
+def meeting_probability(p: sp.csr_matrix, u: int, v: int, length: int) -> float:
     """Probability two independent length-l walks from u and v land on a common node."""
     if length < 1:
         raise ParameterError("length must be >= 1")
@@ -126,7 +128,7 @@ def simrank_series(g: Graph, c: float, terms: int) -> SimMatrix:
     if terms < 1:
         raise ParameterError("terms must be >= 1")
     _dense_guard(g.n, "walk-series similarity")
-    p = transition(g).csr
+    p = transition(g)
     pt = p.T.tocsr()
     meet = np.eye(g.n)  # both walks start together; the first step gives G_1 = P P^T
     acc = np.zeros((g.n, g.n))

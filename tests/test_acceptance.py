@@ -32,7 +32,6 @@ from simga.simrank import (
     simrank_fixedpoint,
     simrank_localpush,
     simrank_power_series,
-    simrank_production,
     sparse_aggregate,
     topk_prune,
 )
@@ -121,7 +120,7 @@ def test_criterion_3_localpush_correctness():
             if raw.max_residual() > (1 - C) * eps:
                 guard_ok = False
             series = simrank_power_series(g, C, 50).values
-            gap = float(np.abs((1 - C) * raw.estimate_dense() - series).max())
+            gap = float(np.abs((1 - C) * raw.estimate.toarray() - series).max())
             worst_ratio = max(worst_ratio, gap / eps)
     elapsed = time.perf_counter() - t0
     passed = worst_ratio <= 1.0 and guard_ok and elapsed < 60
@@ -136,8 +135,8 @@ def test_criterion_4_production_fidelity():
     graphs = fidelity_graphs()
     worst = 0.0
     for g in graphs:
-        exact = simrank_production(g, C, 0.01, "exact").values
-        approx = simrank_production(g, C, 0.01, "approx").values
+        exact = precompute_similarity(g, HyperParams(c=C, eps=0.01, k=g.n, sim_mode="exact")).densify()
+        approx = precompute_similarity(g, HyperParams(c=C, eps=0.01, k=g.n, sim_mode="approx")).densify()
         worst = max(worst, float(np.abs(exact - approx).max()))
     passed = worst <= 0.05
     report(4, passed, f"max exact-vs-approx disagreement {worst:.4f} (bound 0.05; includes the linearization gap)")

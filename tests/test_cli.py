@@ -369,6 +369,31 @@ class TestMalformedInputs:
         assert main(argv) == 2
         assert_one_error_line(capsys.readouterr().err)
 
+    @pytest.mark.parametrize(
+        "command, name, value, code",
+        # the first two size arrays (7.11 PiB of degrees, 466 TiB of head
+        # weights) past any address space, so the refused allocation takes nothing
+        [("homophily", "edges", "0 1000000000000000", 4),
+         ("train", "labels", "1000000000000", 4),
+         ("homophily", "edges", "0 99999999999999999999", 2),
+         ("train", "labels", "99999999999999999999", 2)],
+    )
+    def test_out_of_range_id_or_label(self, fixture_dir, capsys, command, name, value, code):
+        d = fixture_dir
+        path = d / f"{name}.txt"
+        lines = path.read_text().splitlines()
+        if name == "edges":
+            lines.append(value)
+        else:
+            lines[0] = value
+        path.write_text("\n".join(lines) + "\n")
+        if command == "homophily":
+            argv = ["homophily", "--edges", str(d / "edges.txt"), "--labels", str(d / "labels.txt")]
+        else:
+            argv = train_args(d, d / "run")
+        assert main(argv) == code
+        assert_one_error_line(capsys.readouterr().err)
+
     @pytest.mark.parametrize("flags", [["--lr", "nan"], ["--weight-decay", "inf"]])
     def test_non_finite_train_flags(self, fixture_dir, capsys, flags):
         assert main(train_args(fixture_dir, fixture_dir / "run", flags)) == 2

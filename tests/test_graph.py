@@ -158,22 +158,22 @@ class TestNodeHomophily:
 class TestTransition:
     def test_path_middle_row(self, path3):
         p = transition(path3)
-        assert p.dense()[1].tolist() == [0.5, 0.0, 0.5]
+        assert p.toarray()[1].tolist() == [0.5, 0.0, 0.5]
 
     def test_isolated_row_is_zero(self):
         g = graph_from_text("0 2")
         p = transition(g)
-        assert p.dense()[1].tolist() == [0.0, 0.0, 0.0]
+        assert p.toarray()[1].tolist() == [0.0, 0.0, 0.0]
 
     def test_star_center_row_uniform(self, star4):
         p = transition(star4)
-        assert np.allclose(p.dense()[0], [0, 0.25, 0.25, 0.25, 0.25])
+        assert np.allclose(p.toarray()[0], [0, 0.25, 0.25, 0.25, 0.25])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rows_sum_to_one(self, seed):
         g = random_graph(60, avg_degree=6, seed=seed)
         p = transition(g)
-        sums = np.asarray(p.csr.sum(axis=1)).ravel()
+        sums = np.asarray(p.sum(axis=1)).ravel()
         active = g.degrees > 0
         assert np.abs(sums[active] - 1.0).max() < 1e-12
         assert np.all(sums[~active] == 0.0)

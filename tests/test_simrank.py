@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from simga.errors import GuardError, InputFormatError, NumericError, ParameterError
 from simga.graph import build_graph, random_graph
+from simga.model import HyperParams, precompute_similarity
 from simga.simrank import (
     SimMatrix,
     SparseSim,
@@ -17,7 +18,6 @@ from simga.simrank import (
     simrank_fixedpoint,
     simrank_localpush,
     simrank_power_series,
-    simrank_production,
     sparse_aggregate,
     topk_from_push,
     topk_prune,
@@ -119,7 +119,7 @@ class TestLocalPush:
         g = random_graph(40 + 7 * seed, avg_degree=6, seed=seed, min_degree=2)
         raw = simrank_localpush(g, 0.6, eps)
         series = simrank_power_series(g, 0.6, 50).values
-        assert np.abs(0.4 * raw.estimate_dense() - series).max() <= eps
+        assert np.abs(0.4 * raw.estimate.toarray() - series).max() <= eps
 
     def test_estimate_symmetric_within_pop_threshold(self):
         # rounding in the sparse products can leave one of a mirrored pair just
@@ -127,7 +127,7 @@ class TestLocalPush:
         # mirrored entries differ by at most that threshold
         eps, c = 0.05, 0.6
         g = random_graph(50, avg_degree=6, seed=9)
-        est = simrank_localpush(g, c, eps).estimate_dense()
+        est = simrank_localpush(g, c, eps).estimate.toarray()
         assert np.abs(est - est.T).max() <= (1 - c) * eps + 1e-12
 
     def test_node_relabelling_agrees_on_the_bound(self):
@@ -140,40 +140,41 @@ class TestLocalPush:
         a = simrank_localpush(g, 0.6, eps)
         b = simrank_localpush(h, 0.6, eps)
         back = np.ix_(perm, perm)
-        assert np.abs(0.4 * a.estimate_dense() - series).max() <= eps
-        assert np.abs(0.4 * b.estimate_dense()[back] - series).max() <= eps
+        assert np.abs(0.4 * a.estimate.toarray() - series).max() <= eps
+        assert np.abs(0.4 * b.estimate.toarray()[back] - series).max() <= eps
         # committed mass is order-dependent only through sub-threshold residuals
         mass_gap = abs(a.estimate.sum() - b.estimate.sum())
-        support = (a.residual_dense() != 0) | (b.residual_dense()[back] != 0)
+        support = (a.residual.toarray() != 0) | (b.residual.toarray()[back] != 0)
         assert mass_gap <= support.sum() * (1 - 0.6) * eps
+
+
+def production(g, c, eps, mode):
+    """The production S with every nonzero kept (k = n), as a dense matrix."""
+    return precompute_similarity(g, HyperParams(c=c, eps=eps, k=g.n, sim_mode=mode)).densify()
 
 
 class TestProduction:
     def test_exact_star_value(self, star2):
-        s = simrank_production(star2, 0.6, 0.01, "exact")
-        assert s.values[0, 2] == pytest.approx(0.6, abs=1e-12)
+        s = production(star2, 0.6, 0.01, "exact")
+        assert s[0, 2] == pytest.approx(0.6, abs=1e-12)
 
     def test_diagonal_pinned_in_both_modes(self):
         g = random_graph(30, avg_degree=5, seed=1)
         for mode in ("exact", "approx"):
-            s = simrank_production(g, 0.6, 0.05, mode)
-            assert np.all(np.diag(s.values) == 1.0)
+            s = production(g, 0.6, 0.05, mode)
+            assert np.all(np.diag(s) == 1.0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_exact_vs_approx_disagreement_bounded(self, seed):
         g = random_graph(60 + 10 * seed, avg_degree=10, seed=seed, min_degree=7)
-        exact = simrank_production(g, 0.6, 0.01, "exact").values
-        approx = simrank_production(g, 0.6, 0.01, "approx").values
+        exact = production(g, 0.6, 0.01, "exact")
+        approx = production(g, 0.6, 0.01, "approx")
         assert np.abs(exact - approx).max() <= 0.05
-
-    def test_unknown_mode_rejected(self, star2):
-        with pytest.raises(ParameterError):
-            simrank_production(star2, 0.6, 0.1, "fast")
 
     def test_dense_guard_refuses_large_graphs(self):
         g = build_graph(20001, [(0, 1)])
         with pytest.raises(GuardError, match="top-k"):
-            simrank_production(g, 0.6, 0.1, "exact")
+            precompute_similarity(g, HyperParams(eps=0.1, sim_mode="exact"))
 
 
 class TestTopkPrune:
@@ -240,7 +241,9 @@ class TestTopkPrune:
     def test_sparse_route_matches_dense_route(self):
         g = random_graph(40, avg_degree=6, seed=11)
         raw = simrank_localpush(g, 0.6, 0.02)
-        dense = simrank_production(g, 0.6, 0.02, "approx")
+        values = (1 - 0.6) * raw.estimate.toarray()  # the (1-c)-rescaled push, unit diagonal
+        np.fill_diagonal(values, 1.0)
+        dense = SimMatrix(values=values, method="localpush", c=0.6)
         for k in (1, 3, 10, 40):
             a = topk_from_push(raw, k).densify()
             b = topk_prune(dense, k).densify()
