@@ -4,6 +4,10 @@ File formats (all UTF-8 text):
   features  one node per line, whitespace-separated decimal reals, line i = node i
   labels    one integer per line, line i = node i
   splits    three files (train/val/test), one node id per line
+
+Each loader takes an open, seekable text stream. It parses the file in one
+numpy pass (textio.parse_table) and rewinds to its line loop, which words the
+errors, whenever that pass cannot vouch for the result.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import numpy as np
 
 from .errors import InputFormatError, ParameterError
 from .graph import Graph, build_graph, load_edge_list, node_homophily
+from .textio import parse_table
 
 __all__ = [
     "DatasetBundle",
@@ -70,14 +75,20 @@ class DatasetBundle:
         return self.features.shape[1]
 
 
-def _lines(source: IO[str] | Iterable[str]) -> Iterable[tuple[int, str]]:
+def _lines(source: IO[str]) -> Iterable[tuple[int, str]]:
     for lineno, line in enumerate(source, start=1):
         text = line.strip()
         if text:
             yield lineno, text
 
 
-def load_features(source: IO[str] | Iterable[str]) -> np.ndarray:
+def load_features(source: IO[str]) -> np.ndarray:
+    """Feature matrix, one node per line; rejects ragged rows and non-finite values."""
+    table = parse_table(source, np.float64, valid=lambda t: bool(np.isfinite(t).all()))
+    return table if table is not None else _read_feature_lines(source)
+
+
+def _read_feature_lines(source: IO[str]) -> np.ndarray:
     rows: list[list[float]] = []
     width = None
     for lineno, text in _lines(source):
@@ -99,25 +110,31 @@ def load_features(source: IO[str] | Iterable[str]) -> np.ndarray:
     return out
 
 
-def load_labels(source: IO[str] | Iterable[str]) -> np.ndarray:
-    out: list[int] = []
-    for lineno, text in _lines(source):
-        try:
-            out.append(int(text))
-        except ValueError:
-            raise InputFormatError(f"line {lineno}: non-integer label") from None
-    if not out:
+def load_labels(source: IO[str]) -> np.ndarray:
+    """Integer labels, one per line, line i = node i; an empty file is refused."""
+    labels = _load_ints(source, "label")
+    if not labels.size:
         raise InputFormatError("empty label file")
-    return np.asarray(out, dtype=np.int64)
+    return labels
 
 
-def load_split(source: IO[str] | Iterable[str]) -> np.ndarray:
+def load_split(source: IO[str]) -> np.ndarray:
+    """Node ids, one per line; an empty split is allowed."""
+    return _load_ints(source, "node id")
+
+
+def _load_ints(source: IO[str], what: str) -> np.ndarray:
+    table = parse_table(source, np.int64, width=1)
+    return table.reshape(-1) if table is not None else _read_int_lines(source, what)
+
+
+def _read_int_lines(source: IO[str], what: str) -> np.ndarray:
     out: list[int] = []
     for lineno, text in _lines(source):
         try:
             out.append(int(text))
         except ValueError:
-            raise InputFormatError(f"line {lineno}: non-integer node id") from None
+            raise InputFormatError(f"line {lineno}: non-integer {what}") from None
     return np.asarray(out, dtype=np.int64)
 
 

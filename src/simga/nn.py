@@ -51,6 +51,8 @@ class LinearLayer:
 def init_linear(rng: np.random.Generator, fan_in: int, fan_out: int) -> LinearLayer:
     """Symmetric uniform init in +-sqrt(6 / (fan_in + fan_out)), zero bias."""
     bound = math.sqrt(6.0 / (fan_in + fan_out))
+    if fan_in * fan_out * 8 > np.iinfo(np.intp).max:  # numpy would refuse to size it (ValueError)
+        raise MemoryError(f"a {fan_in} x {fan_out} float64 weight matrix is past the address space")
     weight = rng.uniform(-bound, bound, size=(fan_in, fan_out))
     return LinearLayer(weight=weight, bias=np.zeros(fan_out))
 

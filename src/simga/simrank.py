@@ -42,6 +42,7 @@ import scipy.sparse as sp
 
 from .errors import GuardError, InputFormatError, NumericError, ParameterError
 from .graph import Graph, transition
+from .textio import parse_table
 
 __all__ = [
     "DENSE_LIMIT",
@@ -378,6 +379,10 @@ def class_score_histogram(
     )
 
 
+# one "u v score" row of a similarity dump's body
+_DUMP_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("s", np.float64)])
+
+
 def dump_sparse_sim(s: SparseSim, sink: IO[str]) -> None:
     """Text dump: header "n k c method", then "u v score" rows sorted by (u, v)."""
     sink.write(f"{s.n} {s.k} {s.c:.17g} {s.method}\n")
@@ -388,6 +393,7 @@ def dump_sparse_sim(s: SparseSim, sink: IO[str]) -> None:
 
 
 def load_sparse_sim(source: IO[str]) -> SparseSim:
+    """Read a dump_sparse_sim text dump back; malformed input raises InputFormatError."""
     header = source.readline().split()
     if len(header) != 4:
         raise InputFormatError("similarity dump: bad header, expected 'n k c method'")
@@ -398,6 +404,29 @@ def load_sparse_sim(source: IO[str]) -> SparseSim:
     if n < 0 or k < 1:
         raise InputFormatError("similarity dump: header needs n >= 0 and k >= 1")
     method = header[3]
+    body = parse_table(source, _DUMP_ROW)
+    if body is not None:
+        rows, cols, scores = body["u"], body["v"], body["s"]
+    else:
+        rows, cols, scores = _read_dump_lines(source)
+    row_arr = np.asarray(rows, dtype=np.int64)
+    if row_arr.size and (row_arr.min() < 0 or row_arr.max() >= n):
+        raise InputFormatError(f"similarity dump: row id outside [0, {n})")
+    if np.any(np.diff(row_arr) < 0):
+        raise InputFormatError("similarity dump: rows out of order")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row_arr, minlength=n))])
+    return SparseSim(
+        n=n,
+        k=k,
+        indptr=indptr,
+        cols=np.ascontiguousarray(cols, dtype=np.int64),
+        scores=np.ascontiguousarray(scores, dtype=np.float64),
+        method=method,
+        c=c,
+    )
+
+
+def _read_dump_lines(source: IO[str]) -> tuple[list[int], list[int], list[float]]:
     rows: list[int] = []
     cols: list[int] = []
     scores: list[float] = []
@@ -414,18 +443,4 @@ def load_sparse_sim(source: IO[str]) -> SparseSim:
             scores.append(float(parts[2]))
         except ValueError:
             raise InputFormatError(f"similarity dump line {lineno}: bad value") from None
-    row_arr = np.asarray(rows, dtype=np.int64)
-    if row_arr.size and (row_arr.min() < 0 or row_arr.max() >= n):
-        raise InputFormatError(f"similarity dump: row id outside [0, {n})")
-    if np.any(np.diff(row_arr) < 0):
-        raise InputFormatError("similarity dump: rows out of order")
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(row_arr, minlength=n))])
-    return SparseSim(
-        n=n,
-        k=k,
-        indptr=indptr,
-        cols=np.asarray(cols, dtype=np.int64),
-        scores=np.asarray(scores, dtype=np.float64),
-        method=method,
-        c=c,
-    )
+    return rows, cols, scores

@@ -1,11 +1,19 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simga.cli import main
 from simga.data import gen_structural_heterophily
 from simga.simrank import load_sparse_sim
+
+from test_textio import mutated
 
 
 def write_bundle(d, bundle):
@@ -371,10 +379,16 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize(
         "command, name, value, code",
-        # the first two size arrays (7.11 PiB of degrees, 466 TiB of head
-        # weights) past any address space, so the refused allocation takes nothing
+        # the first five size arrays past any machine (7.11 PiB of degrees, 466
+        # TiB of head weights) or past what numpy can size at all (2^60 ids,
+        # 2^54 labels at width 64), so the refused allocation takes nothing;
+        # the ids of the sixth would wrap a packed int64 pair key u*n+v
         [("homophily", "edges", "0 1000000000000000", 4),
          ("train", "labels", "1000000000000", 4),
+         ("homophily", "edges", "0 1152921504606846976", 4),
+         ("train", "edges", "0 1152921504606846976", 4),
+         ("train", "labels", "18014398509481984", 4),
+         ("homophily", "edges", "1000000000000 1000000000001", 4),
          ("homophily", "edges", "0 99999999999999999999", 2),
          ("train", "labels", "99999999999999999999", 2)],
     )
@@ -408,3 +422,40 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert_one_error_line(err)
         assert "node 5" in err
+
+
+def run_cli(argv):
+    """Exit code and stderr of one in-process CLI run."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestMutatedInputFiles:
+    """Whatever one input file holds, simrank and train end in a documented exit code."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(target=st.sampled_from(["edges", "features", "labels", "train", "similarity"]),
+           edit=st.data())
+    def test_documented_exit_and_one_line(self, target, edit):
+        with tempfile.TemporaryDirectory() as tmp:
+            d = write_bundle(Path(tmp), gen_structural_heterophily(seed=0, n=48, classes=2))
+            simrank_argv = ["simrank", "--edges", str(d / "edges.txt"), "--labels", str(d / "labels.txt"),
+                            "--mode", "approx", "--k", "16", "--out", str(d / "sim")]
+            dump = d / "sim" / "similarity.txt"
+            if target == "similarity":  # the clean files' dump, mutated below its header
+                assert run_cli(simrank_argv)[0] == 0
+                path = dump
+                head, *body = path.read_text().splitlines(keepends=True)
+            else:
+                path = d / f"{target}.txt"
+                head, body = "", path.read_text().splitlines()
+            path.write_text(head + edit.draw(mutated(st.just([line.split() for line in body]))))
+            runs = [] if target == "similarity" else [run_cli(simrank_argv)]
+            sim_flags = ["--sim", str(dump)] if dump.exists() else []
+            runs.append(run_cli(train_args(d, d / "run", ["--max-epochs", "2", *sim_flags])))
+        for code, err in runs:
+            assert code in (0, 2, 3, 4)
+            assert "Traceback" not in err
+            assert err.count("error:") == (code != 0)

@@ -51,6 +51,20 @@ class TestLoadEdgeList:
             graph_from_text("# nothing\n")
 
 
+class TestBuildGraph:
+    @pytest.mark.parametrize("edges", [[(0, 3)], [(0, -1)], [(3, 3)]])
+    def test_endpoint_outside_the_node_range_rejected(self, edges):
+        with pytest.raises(InputFormatError, match=r"edge endpoint outside \[0, 3\)"):
+            build_graph(3, edges)
+
+    def test_array_and_pair_list_give_the_same_graph(self):
+        pairs = [(2, 0), (0, 2), (1, 1), (3, 1), (0, 1)]
+        a, b = build_graph(5, pairs), build_graph(5, np.array(pairs))
+        assert (a.n, a.m) == (b.n, b.m) == (5, 3)
+        assert a.neighbors.tolist() == b.neighbors.tolist() == [1, 2, 0, 3, 0, 1]
+        assert a.offsets.tolist() == b.offsets.tolist() == [0, 2, 4, 5, 6, 6]
+
+
 class TestGraphInvariants:
     @pytest.mark.parametrize("seed", range(5))
     def test_random_graph_structure(self, seed):
