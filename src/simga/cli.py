@@ -126,23 +126,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.sim:
         with open(args.sim) as fh:
             sim = load_sparse_sim(fh)
-        # record the dump's c, k and mode for a checkpoint-driven recompute
-        # (eval without --sim). The dump header has no eps, so the checkpoint
-        # keeps this run's eps: the recompute reproduces the trained S only
-        # when the dump was made at that eps too
-        hp = dataclasses.replace(
-            hp, c=sim.c, k=sim.k, sim_mode="exact" if sim.method == "fixedpoint" else "approx"
-        )
     params, report = fit(bundle, hp, sim=sim)
     out = _out_dir(args)
     with open(out / "report.json", "w") as fh:
         json.dump(report.to_json_dict(), fh, indent=2)
         fh.write("\n")
-    save_checkpoint(out / "checkpoint.npz", params, hp)
+    save_checkpoint(out / "checkpoint.npz", params, hp, report.similarity)
     if args.export_embeddings:
-        if sim is None:
-            sim = precompute_similarity(bundle.graph, hp)
-        z = aggregate(sim, embed(bundle, params, hp), hp.alpha)
+        z = aggregate(report.similarity, embed(bundle, params, hp), hp.alpha)
         np.savetxt(out / "embeddings.txt", z)
     print(f"test_accuracy\t{report.test_accuracy:.6f}")
     print(f"best_epoch\t{report.best_epoch}")
@@ -154,17 +145,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     bundle = load_bundle(
         args.edges, args.features, args.labels, args.train_split, args.val_split, args.test_split
     )
-    params, hp = load_checkpoint(args.checkpoint)
+    params, hp, sim = load_checkpoint(args.checkpoint)
     trained_n = params.mlp_a[0].weight.shape[0]  # the adjacency branch has one row per node
     if trained_n != bundle.n:
         raise InputFormatError(
             f"checkpoint {args.checkpoint} was trained on {trained_n} nodes, the graph has {bundle.n}"
         )
-    if args.sim:
-        with open(args.sim) as fh:
-            sim = load_sparse_sim(fh)
-    else:
-        sim = precompute_similarity(bundle.graph, hp)
     split = {"train": bundle.train_idx, "val": bundle.val_idx, "test": bundle.test_idx}[args.split]
     acc = evaluate(bundle, sim, params, hp, split)
     result = {"split": args.split, "accuracy": acc}
@@ -178,7 +164,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = run_all(seed=args.seed or 0, corrupt_push=args.corrupt_push)
+    results = run_all(seed=args.seed or 0)
     width = max(len(r.name) for r in results)
     failed = False
     for r in results:
@@ -238,14 +224,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
     _add_shared_io(p, need_bundle=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--sim", help="precomputed similarity dump")
     p.add_argument("--split", choices=["train", "val", "test"], default="test")
     p.add_argument("--out", help="optional output directory for eval.json")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("verify", help="run the built-in equivalence suites")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--corrupt-push", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="scaling ladder benchmark (TSV on stdout)")
@@ -276,6 +260,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERIC
     except (InputFormatError, ParameterError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except UnicodeDecodeError as exc:  # an input file that is not UTF-8 text
+        print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OverflowError as exc:  # an integer input past the int64 range
         print(f"error: integer input outside the int64 range: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .errors import InputFormatError, ParameterError
-from .graph import Graph, build_graph, load_edge_list, node_homophily
+from .graph import Graph, _add_random_edges, build_graph, load_edge_list, node_homophily
 from .textio import parse_table
 
 __all__ = [
@@ -63,7 +63,7 @@ class DatasetBundle:
         if all_idx.size:
             if all_idx.min() < 0 or all_idx.max() >= n:
                 raise InputFormatError("split index out of range")
-            if len(np.unique(all_idx)) != len(all_idx):
+            if np.bincount(all_idx, minlength=n).max() > 1:  # O(n); np.unique sorts
                 raise InputFormatError("train/val/test splits overlap")
 
     @property
@@ -186,11 +186,7 @@ def gen_twin_graph(
     rng = np.random.default_rng(base_seed)
     n = base_nodes + 2 * twin_pairs
     edges: set[tuple[int, int]] = set()
-    target = 2 * base_nodes
-    while len(edges) < target:
-        u, v = rng.integers(0, base_nodes, size=2)
-        if u != v:
-            edges.add((min(int(u), int(v)), max(int(u), int(v))))
+    _add_random_edges(rng, base_nodes, edges, 2 * base_nodes)
     pairs: list[tuple[int, int]] = []
     for i in range(twin_pairs):
         u = base_nodes + 2 * i

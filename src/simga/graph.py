@@ -219,12 +219,8 @@ def random_graph(
     if min_degree >= n:
         raise ParameterError("min_degree must be below n")
     rng = np.random.default_rng(seed)
-    target_m = min(int(round(avg_degree * n / 2.0)), n * (n - 1) // 2)
     edges: set[tuple[int, int]] = set()
-    while len(edges) < target_m:
-        u, v = rng.integers(0, n, size=2)
-        if u != v:
-            edges.add((min(int(u), int(v)), max(int(u), int(v))))
+    _add_random_edges(rng, n, edges, min(int(round(avg_degree * n / 2.0)), n * (n - 1) // 2))
     if min_degree > 0:
         deg = np.zeros(n, dtype=np.int64)
         for u, v in edges:
@@ -252,10 +248,15 @@ def random_connected_graph(n: int, extra_edges: int, seed: int) -> Graph:
         u = int(order[i])
         v = int(order[rng.integers(0, i)])
         edges.add((min(u, v), max(u, v)))
-    want = len(edges) + extra_edges
-    cap = n * (n - 1) // 2
-    while len(edges) < min(want, cap):
+    _add_random_edges(rng, n, edges, min(len(edges) + extra_edges, n * (n - 1) // 2))
+    return build_graph(n, edges)
+
+
+def _add_random_edges(
+    rng: np.random.Generator, n: int, edges: set[tuple[int, int]], target: int
+) -> None:
+    """Draw id pairs in [0, n), adding each non-loop one as (min, max), until len(edges) == target."""
+    while len(edges) < target:
         u, v = rng.integers(0, n, size=2)
         if u != v:
             edges.add((min(int(u), int(v)), max(int(u), int(v))))
-    return build_graph(n, edges)

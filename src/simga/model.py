@@ -16,7 +16,7 @@ import json
 import math
 import time
 import zipfile
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_type_hints
 
@@ -65,7 +65,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 
 @dataclass
@@ -321,6 +321,7 @@ class TrainReport:
     test_accuracy: float
     precompute_seconds: float
     train_seconds: float
+    similarity: SparseSim = field(repr=False)  # the S trained against; not in the JSON
 
     def to_json_dict(self) -> dict:
         return {
@@ -360,8 +361,9 @@ def fit(
     """Full-batch training with early stopping on validation accuracy.
 
     The similarity matrix is precomputed (and timed separately) unless one is
-    passed in. Stops after `patience` epochs without a new validation best,
-    restores the best parameters, and reports test accuracy there.
+    passed in; the report carries the S trained against. Stops after
+    `patience` epochs without a new validation best, restores the best
+    parameters, and reports test accuracy there.
 
     An epoch is one training step (forward, loss, backward, Adam) and one
     eval pass at the updated parameters for the validation accuracy. The next
@@ -429,6 +431,7 @@ def fit(
         test_accuracy=test_acc,
         precompute_seconds=precompute_seconds,
         train_seconds=train_seconds,
+        similarity=sim,
     )
     return best, report
 
@@ -482,15 +485,18 @@ def grouping_report(
     )
 
 
-def save_checkpoint(path: str | Path, params: SimgaParams, hp: HyperParams) -> None:
-    """Named-tensor container (npz) with a format-version tag and the run config."""
+def save_checkpoint(path: str | Path, params: SimgaParams, hp: HyperParams, sim: SparseSim) -> None:
+    """Named-tensor npz: the weights, the S they were trained against, the run config."""
     payload = {name: arr for name, arr in params.named_arrays()}
+    payload.update({"sim.indptr": sim.indptr, "sim.cols": sim.cols, "sim.scores": sim.scores})
     payload["__format_version__"] = np.int64(CHECKPOINT_FORMAT_VERSION)
     payload["__hyperparams__"] = np.str_(json.dumps(hp.to_dict()))
+    provenance = {"n": sim.n, "k": sim.k, "c": sim.c, "method": sim.method}
+    payload["__similarity__"] = np.str_(json.dumps(provenance))
     np.savez(path, **payload)
 
 
-def load_checkpoint(path: str | Path) -> tuple[SimgaParams, HyperParams]:
+def load_checkpoint(path: str | Path) -> tuple[SimgaParams, HyperParams, SparseSim]:
     """Read a checkpoint of this format version; anything else is an InputFormatError."""
     try:
         data = np.load(path, allow_pickle=False)
@@ -504,6 +510,12 @@ def load_checkpoint(path: str | Path) -> tuple[SimgaParams, HyperParams]:
             raise InputFormatError(f"checkpoint {path}: no {key} array")
         return data[key]
 
+    def header(key: str):
+        try:
+            return json.loads(str(array(key)))
+        except ValueError:
+            raise InputFormatError(f"checkpoint {path}: {key} is not JSON") from None
+
     with data:
         version = int(array("__format_version__"))
         if version != CHECKPOINT_FORMAT_VERSION:
@@ -511,11 +523,7 @@ def load_checkpoint(path: str | Path) -> tuple[SimgaParams, HyperParams]:
                 f"checkpoint {path}: format version {version} is not supported "
                 f"(this version reads {CHECKPOINT_FORMAT_VERSION}); retrain to write a new one"
             )
-        try:
-            raw_hp = json.loads(str(array("__hyperparams__")))
-        except ValueError:
-            raise InputFormatError(f"checkpoint {path}: __hyperparams__ is not JSON") from None
-        hp = HyperParams.from_dict(raw_hp)
+        hp = HyperParams.from_dict(header("__hyperparams__"))
         depth = {"mlp_f": 1, "mlp_a": 1, "mlp_h": hp.mlp_h_depth}
         blocks = {
             name: [
@@ -524,4 +532,11 @@ def load_checkpoint(path: str | Path) -> tuple[SimgaParams, HyperParams]:
             ]
             for name, layers in depth.items()
         }
-    return SimgaParams(**blocks), hp
+        provenance = header("__similarity__")  # n, k, c and method of the stored S
+        stored = {key: array(f"sim.{key}") for key in ("indptr", "cols", "scores")}
+        try:
+            n, k, c, method = (provenance[key] for key in ("n", "k", "c", "method"))
+            sim = SparseSim(n=int(n), k=int(k), c=float(c), method=str(method), **stored)
+        except (KeyError, TypeError, ValueError, InputFormatError) as exc:
+            raise InputFormatError(f"checkpoint {path}: bad stored similarity: {exc}") from None
+    return SimgaParams(**blocks), hp, sim

@@ -41,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import GuardError, InputFormatError, NumericError, ParameterError
-from .graph import Graph, transition
+from .graph import _MAX_NODES, Graph, transition
 from .textio import parse_table
 
 __all__ = [
@@ -222,22 +222,15 @@ def simrank_power_series(g: Graph, c: float, terms: int) -> SimMatrix:
     return SimMatrix(values=acc, method="power_series", c=c, iterations=terms)
 
 
-def simrank_localpush(
-    g: Graph,
-    c: float,
-    eps: float,
-    _decay_override: float | None = None,
-) -> RawPushMatrix:
+def simrank_localpush(g: Graph, c: float, eps: float) -> RawPushMatrix:
     """Level-synchronous push: each round commits every residual above (1-c)*eps at once.
 
     Starts from R = I, E = 0. A round takes sel = R on its entries above the
     threshold, adds sel to E and replaces R by R - sel + c * P sel P^T; it
-    stops once max R <= (1-c)*eps. _decay_override is a test hook that
-    deliberately misapplies the decay for negative controls.
+    stops once max R <= (1-c)*eps.
     """
     _check_decay(c)
     _check_eps(eps)
-    decay = c if _decay_override is None else _decay_override
     n = g.n
     threshold = (1.0 - c) * eps
     p = transition(g)
@@ -259,7 +252,7 @@ def simrank_localpush(
         sel = sp.csr_matrix((vals[-1], cols[-1], indptr), shape=(n, n))
         res.data[hot] = 0.0  # R - sel; the sum below drops the explicit zeros
         spread = p @ sel @ pt
-        spread.data *= decay
+        spread.data *= c
         res = res + spread
     est = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
@@ -403,6 +396,8 @@ def load_sparse_sim(source: IO[str]) -> SparseSim:
         raise InputFormatError("similarity dump: non-numeric header field") from None
     if n < 0 or k < 1:
         raise InputFormatError("similarity dump: header needs n >= 0 and k >= 1")
+    if n > _MAX_NODES:  # as for an edge id that large: no n-long array, no int64 pair keys
+        raise MemoryError(f"similarity dump of {n} nodes: node ids must stay below {_MAX_NODES}")
     method = header[3]
     body = parse_table(source, _DUMP_ROW)
     if body is not None:

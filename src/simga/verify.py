@@ -87,17 +87,14 @@ def walk_suite(seed: int = 0, graphs: int = 10) -> SuiteResult:
     )
 
 
-def push_suite(
-    seed: int = 0, graphs: int = 6, eps: float = 0.05, c: float = 0.6, corrupt: bool = False
-) -> SuiteResult:
+def push_suite(seed: int = 0, graphs: int = 6, eps: float = 0.05, c: float = 0.6) -> SuiteResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     guard_ok = True
-    decay = c * 1.5 if corrupt else None  # negative-control hook: misapply the decay
     for _ in range(graphs):
         n = int(rng.integers(30, 121))
         g = random_graph(n, avg_degree=6.0, seed=int(rng.integers(0, 2**31)), min_degree=2)
-        raw = simrank_localpush(g, c, eps, _decay_override=decay)
+        raw = simrank_localpush(g, c, eps)
         if raw.max_residual() > (1.0 - c) * eps:
             guard_ok = False
         series = simrank_power_series(g, c, 50).values
@@ -134,9 +131,5 @@ def twin_suite(seed: int = 0, bundles: int = 3) -> SuiteResult:
     )
 
 
-def run_all(seed: int = 0, corrupt_push: bool = False) -> list[SuiteResult]:
-    return [
-        walk_suite(seed=seed),
-        push_suite(seed=seed, corrupt=corrupt_push),
-        twin_suite(seed=seed),
-    ]
+def run_all(seed: int = 0) -> list[SuiteResult]:
+    return [walk_suite(seed=seed), push_suite(seed=seed), twin_suite(seed=seed)]

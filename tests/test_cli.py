@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simga import verify
 from simga.cli import main
 from simga.data import gen_structural_heterophily
+from simga.model import load_checkpoint
 from simga.simrank import load_sparse_sim
 
 from test_textio import mutated
@@ -163,15 +165,21 @@ class TestTrainEval:
         report = json.loads((out / "report.json").read_text())
         assert report["precompute_seconds"] == 0.0
 
-    def test_eval_recomputes_the_trained_similarity_from_checkpoint(self, fixture_dir, capsys):
-        # a checkpoint trained against an external dump must record its
-        # provenance so an eval without --sim scores against the same matrix
+    def test_eval_scores_against_the_similarity_in_the_checkpoint(self, fixture_dir, capsys):
+        # a dump made at another eps than the train run's: the checkpoint must
+        # carry the dump's S itself, so eval scores against the trained matrix
         d = fixture_dir
         main(["simrank", "--edges", str(d / "edges.txt"), "--mode", "approx",
-              "--eps", "0.1", "--k", "12", "--out", str(d / "apx")])
+              "--eps", "0.001", "--k", "12", "--out", str(d / "apx")])
         out = d / "apxrun"
         main(train_args(d, out, ["--sim", str(d / "apx" / "similarity.txt")]))
         report = json.loads((out / "report.json").read_text())
+        with open(d / "apx" / "similarity.txt") as fh:
+            dump = load_sparse_sim(fh)
+        _, _, stored = load_checkpoint(out / "checkpoint.npz")
+        assert (stored.n, stored.k, stored.c, stored.method) == (dump.n, dump.k, dump.c, dump.method)
+        for key in ("indptr", "cols", "scores"):
+            assert np.array_equal(getattr(stored, key), getattr(dump, key))
         capsys.readouterr()
         code = main(["eval", *bundle_flags(d), "--checkpoint", str(out / "checkpoint.npz"),
                      "--split", "test"])
@@ -221,8 +229,11 @@ class TestVerifyBench:
         assert out.count("PASS") == 3
         assert "max_error" in out
 
-    def test_corrupt_push_fails(self, capsys):
-        assert main(["verify", "--corrupt-push"]) == 3
+    def test_corrupt_push_fails(self, capsys, monkeypatch):
+        # negative control: a push that misapplies the decay (1.5 c) must fail the suite
+        real = verify.simrank_localpush
+        monkeypatch.setattr(verify, "simrank_localpush", lambda g, c, eps: real(g, 1.5 * c, eps))
+        assert main(["verify"]) == 3
         out = capsys.readouterr().out
         assert "FAIL" in out
 
@@ -320,7 +331,9 @@ class TestMalformedInputs:
         assert code == 2
         assert_one_error_line(capsys.readouterr().err)
 
-    @pytest.mark.parametrize("damage", ["not_npz", "no_version", "no_array", "version_1"])
+    @pytest.mark.parametrize(
+        "damage", ["not_npz", "no_version", "no_array", "version_1", "version_2", "sim_column_past_n"]
+    )
     def test_bad_checkpoint(self, fixture_dir, capsys, damage):
         d = fixture_dir
         main(train_args(d, d / "run"))
@@ -334,6 +347,12 @@ class TestMalformedInputs:
             hp = json.loads(str(arrays["__hyperparams__"]))
             arrays["__hyperparams__"] = np.str_(json.dumps({**hp, "skip_form": "main"}))
             arrays["__format_version__"] = np.int64(1)
+        elif damage == "version_2":  # written before S was stored next to the weights
+            for key in ("sim.indptr", "sim.cols", "sim.scores", "__similarity__"):
+                del arrays[key]
+            arrays["__format_version__"] = np.int64(2)
+        elif damage == "sim_column_past_n":
+            arrays["sim.cols"][-1] = 48
         path = d / "bad.npz"
         if damage == "not_npz":
             path.write_bytes(b"not a checkpoint\n")
@@ -344,8 +363,10 @@ class TestMalformedInputs:
         assert code == 2
         err = capsys.readouterr().err
         assert_one_error_line(err)
-        if damage == "version_1":
-            assert "format version 1" in err
+        if damage in ("version_1", "version_2"):
+            assert f"format version {damage[-1]}" in err
+        if damage == "sim_column_past_n":
+            assert "column id outside [0, 48)" in err
 
     def test_eval_on_another_node_count(self, tmp_path, capsys):
         big = write_bundle(tmp_path / "n800", gen_structural_heterophily(seed=0, n=800, classes=4))
@@ -407,6 +428,37 @@ class TestMalformedInputs:
             argv = train_args(d, d / "run")
         assert main(argv) == code
         assert_one_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("name", ["edges", "features", "similarity"])
+    def test_non_utf8_input(self, fixture_dir, capsys, name):
+        d = fixture_dir
+        main(["simrank", "--edges", str(d / "edges.txt"), "--mode", "exact",
+              "--eps", "0.1", "--k", "16", "--out", str(d / "sim")])
+        path = d / "sim" / "similarity.txt" if name == "similarity" else d / f"{name}.txt"
+        path.write_bytes(path.read_bytes() + b"\xff 2\n")
+        if name == "edges":
+            argv = ["homophily", "--edges", str(path), "--labels", str(d / "labels.txt")]
+        else:
+            argv = train_args(d, d / "run", ["--sim", str(d / "sim" / "similarity.txt")])
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "not UTF-8" in err
+
+    def test_dump_header_n_past_int64_pair_keys(self, fixture_dir, capsys):
+        # the header's n sizes the row counts; 2^60 is past what numpy can size
+        d = fixture_dir
+        main(["simrank", "--edges", str(d / "edges.txt"), "--mode", "exact",
+              "--eps", "0.1", "--k", "16", "--out", str(d / "sim")])
+        dump = d / "sim" / "similarity.txt"
+        _, body = dump.read_text().split("\n", 1)
+        dump.write_text("1152921504606846976 3 0.6 fixedpoint\n" + body)
+        capsys.readouterr()
+        assert main(train_args(d, d / "run", ["--sim", str(dump)])) == 4
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert err.startswith("error: out of memory:")
 
     @pytest.mark.parametrize("flags", [["--lr", "nan"], ["--weight-decay", "inf"]])
     def test_non_finite_train_flags(self, fixture_dir, capsys, flags):

@@ -358,10 +358,16 @@ class TestCheckpoint:
         hp = quick_hp(mlp_h_depth=2)
         params = init_params(np.random.default_rng(3), bundle.num_features, bundle.n,
                              bundle.num_classes, hp)
+        sim = precompute_similarity(bundle.graph, hp)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, params, hp)
-        loaded_params, loaded_hp = load_checkpoint(path)
+        save_checkpoint(path, params, hp, sim)
+        loaded_params, loaded_hp, loaded_sim = load_checkpoint(path)
         assert loaded_hp == hp
+        assert (loaded_sim.n, loaded_sim.k, loaded_sim.c, loaded_sim.method) == (
+            sim.n, sim.k, sim.c, sim.method
+        )
+        for key in ("indptr", "cols", "scores"):
+            assert np.array_equal(getattr(loaded_sim, key), getattr(sim, key))
         for (name_a, arr_a), (name_b, arr_b) in zip(
             params.named_arrays(), loaded_params.named_arrays()
         ):
