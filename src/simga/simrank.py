@@ -7,11 +7,11 @@ Three related objects live here and are deliberately kept distinct:
   raw push      sum_{k>=0} c^k P^k (P^T)^k accumulated by the local push;
                 (1-c) * raw equals the power series in the limit.
 
-The fixed point starts from S = I as CSR and takes sparse steps while S is
-sparse: on the benchmark's ring graph (n = 2,992) it ends with 2.8 % of its
-entries nonzero. Once nnz(S) passes DENSE_FILL_SHARE * n^2 it switches to
-dense products, which are cheaper per entry on a filled S. It returns a
-dense n x n SimMatrix in either case.
+The fixed point starts from S = I as CSR and every step is a pair of sparse
+products, so a step costs work in the entries S holds, not in n^2: on the
+benchmark's ring graph (n = 2,992) S ends with 2.8 % of its entries nonzero.
+On a graph where S fills, a sparse step costs about twice a dense one. The
+fixed point returns a dense n x n SimMatrix.
 
 The push is level-synchronous (Jacobi order): it keeps an estimate E and a
 residual R, both sparse n x n, from E = 0 and R = I. Each round commits every
@@ -68,13 +68,6 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 20_000
-# Share of the n^2 entries past which simrank_fixedpoint leaves CSR for dense
-# products. A sparse step costs several times a dense one per stored entry, and
-# its cost grows with the fill of its output, not of its input. Swept over
-# 0.01-0.2 on random graphs (n 1,000-3,000, degree 2-16) and on the benchmark's
-# ring graph at 5 and 10 iterations, 0.05 was never slower than all-dense and
-# at most 19 % slower than the best share wherever the fixed point took > 0.1 s.
-DENSE_FILL_SHARE = 0.05
 
 
 def _check_decay(c: float) -> None:
@@ -204,11 +197,9 @@ def simrank_fixedpoint(g: Graph, c: float, iterations: int) -> SimMatrix:
     """Iterate S <- c * P S P^T off-diagonal with the diagonal pinned to 1.
 
     S starts as the CSR identity and stays CSR, so a step costs sparse
-    products over the entries S actually holds, until nnz(S) passes
-    DENSE_FILL_SHARE * n^2; from then on S is a dense ndarray and each step is
-    a dense product. The result is dense either way. Rows/columns of isolated
-    nodes stay zero off-diagonal (their diagonal is still pinned). Converges
-    geometrically at rate c.
+    products over the entries S actually holds. The result is a dense n x n
+    matrix. Rows/columns of isolated nodes stay zero off-diagonal (their
+    diagonal is still pinned). Converges geometrically at rate c.
     """
     _check_decay(c)
     if iterations < 1:
@@ -219,16 +210,14 @@ def simrank_fixedpoint(g: Graph, c: float, iterations: int) -> SimMatrix:
     eye = sp.identity(g.n, format="csr")
     s = eye
     for _ in range(iterations):
-        if sp.issparse(s) and s.nnz > DENSE_FILL_SHARE * g.n * g.n:
-            s = s.toarray()
-        s = c * ((p @ s) @ pt)
-        if sp.issparse(s):
-            s = s - sp.diags(s.diagonal()) + eye  # exactly 1, stored or not before
-        else:
-            np.fill_diagonal(s, 1.0)
+        # one new matrix per statement, so at most two copies of S are live
+        s = p @ s
+        s = s @ pt
+        s.data *= c
+        s = s - sp.diags(s.diagonal())
+        s = s + eye  # diagonal exactly 1, stored or not before
     # shave asymmetric rounding (<= 1 ulp) from the products
-    s = s.minimum(s.T).toarray() if sp.issparse(s) else np.minimum(s, s.T)
-    return SimMatrix(values=s, method="fixedpoint", c=c, iterations=iterations)
+    return SimMatrix(values=s.minimum(s.T).toarray(), method="fixedpoint", c=c, iterations=iterations)
 
 
 def simrank_power_series(g: Graph, c: float, terms: int) -> SimMatrix:
@@ -374,11 +363,7 @@ def class_score_histogram(
     iu = np.concatenate([coo.row[upper], coo.col[lower]]).astype(np.int64)
     ju = np.concatenate([coo.col[upper], coo.row[lower]]).astype(np.int64)
     vals = np.concatenate([coo.data[upper], coo.data[lower]])
-    # first entry of each run of equal pairs in a stable sort = the upper entry
-    key = iu * s.n + ju
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = order[np.concatenate([key[:1] >= 0, key[1:] != key[:-1]])]
+    _, first = np.unique(iu * s.n + ju, return_index=True)  # first = the upper entry
     keep = first[vals[first] > floor]
     iu, ju, vals = iu[keep], ju[keep], vals[keep]
     logs = np.log10(vals)
