@@ -3,7 +3,7 @@
 Subpackage map:
   graph    CSR graph container, edge-list loader, homophily, transition matrix P as CSR
   data     dataset bundles, text-format loaders, synthetic generators
-  textio   parse_table: the one numpy fast parse behind every text reader
+  textio   read_table: every text reader's numpy fast pass and the one line loop that words errors
   simrank  exact / power-series / local-push SimRank, top-k pruning, aggregation, dump/load
   walks    random-walk oracles (tour enumeration, meeting probabilities, first-meeting walk series)
   nn       dense MLP stack with hand-derived gradients, Adam, gradient checking

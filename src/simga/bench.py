@@ -58,6 +58,8 @@ def run_bench(
         raise ParameterError("ladder needs at least two sizes")
     if any(n < 8 for n in ladder):
         raise ParameterError("ladder sizes must be >= 8")
+    if seed < 0:
+        raise ParameterError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     rows: list[BenchRow] = []
     for n in ladder:

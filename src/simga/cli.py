@@ -164,7 +164,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = run_all(seed=args.seed or 0)
+    results = run_all(seed=args.seed)
     width = max(len(r.name) for r in results)
     failed = False
     for r in results:
@@ -182,9 +182,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         ladder = [int(tok) for tok in args.ladder.split(",") if tok]
     except ValueError:
         raise ParameterError(f"--ladder must be comma-separated node counts, got {args.ladder!r}") from None
-    result = run_bench(
-        ladder, degree=args.degree, eps=args.eps, k=args.k, c=args.c, seed=args.seed or 0
-    )
+    result = run_bench(ladder, degree=args.degree, eps=args.eps, k=args.k, c=args.c, seed=args.seed)
     sys.stdout.write(format_tsv(result))
     return EXIT_OK
 
@@ -229,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("verify", help="run the built-in equivalence suites")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="scaling ladder benchmark (TSV on stdout)")
@@ -238,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--k", type=int, default=64)
     p.add_argument("--c", type=float, default=0.6)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 
     return parser

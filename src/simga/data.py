@@ -5,22 +5,22 @@ File formats (all UTF-8 text):
   labels    one integer per line, line i = node i
   splits    three files (train/val/test), one node id per line
 
-Each loader takes an open, seekable text stream. It parses the file in one
-numpy pass (textio.parse_table) and rewinds to its line loop, which words the
-errors, whenever that pass cannot vouch for the result.
+Each loader takes an open text stream and reads it with one textio.read_table
+call: a numpy pass, and the shared line loop, which words the errors, for
+any file that pass cannot vouch for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
 from .errors import InputFormatError, ParameterError
 from .graph import Graph, _add_random_edges, build_graph, load_edge_list, node_homophily
-from .textio import parse_table
+from .textio import input_error, read_table
 
 __all__ = [
     "DatasetBundle",
@@ -75,67 +75,23 @@ class DatasetBundle:
         return self.features.shape[1]
 
 
-def _lines(source: IO[str]) -> Iterable[tuple[int, str]]:
-    for lineno, line in enumerate(source, start=1):
-        text = line.strip()
-        if text:
-            yield lineno, text
-
-
 def load_features(source: IO[str]) -> np.ndarray:
     """Feature matrix, one node per line; rejects ragged rows and non-finite values."""
-    table = parse_table(source, np.float64, valid=lambda t: bool(np.isfinite(t).all()))
-    return table if table is not None else _read_feature_lines(source)
-
-
-def _read_feature_lines(source: IO[str]) -> np.ndarray:
-    rows: list[list[float]] = []
-    width = None
-    for lineno, text in _lines(source):
-        try:
-            row = [float(tok) for tok in text.split()]
-        except ValueError:
-            raise InputFormatError(f"line {lineno}: non-numeric feature value") from None
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise InputFormatError(f"line {lineno}: expected {width} values, got {len(row)}")
-        rows.append(row)
-    if not rows:
-        raise InputFormatError("empty feature file")
-    out = np.asarray(rows, dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
-    if bad.size:
-        raise InputFormatError(f"node {bad[0]}: non-finite feature value")
-    return out
+    feats = read_table(source, np.float64, "feature value", empty="empty feature file")
+    if not np.isfinite(feats).all():
+        bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+        raise input_error(source, f"node {bad[0]}: non-finite feature value")
+    return feats
 
 
 def load_labels(source: IO[str]) -> np.ndarray:
     """Integer labels, one per line, line i = node i; an empty file is refused."""
-    labels = _load_ints(source, "label")
-    if not labels.size:
-        raise InputFormatError("empty label file")
-    return labels
+    return read_table(source, np.int64, "label", 1, empty="empty label file").reshape(-1)
 
 
 def load_split(source: IO[str]) -> np.ndarray:
     """Node ids, one per line; an empty split is allowed."""
-    return _load_ints(source, "node id")
-
-
-def _load_ints(source: IO[str], what: str) -> np.ndarray:
-    table = parse_table(source, np.int64, width=1)
-    return table.reshape(-1) if table is not None else _read_int_lines(source, what)
-
-
-def _read_int_lines(source: IO[str], what: str) -> np.ndarray:
-    out: list[int] = []
-    for lineno, text in _lines(source):
-        try:
-            out.append(int(text))
-        except ValueError:
-            raise InputFormatError(f"line {lineno}: non-integer {what}") from None
-    return np.asarray(out, dtype=np.int64)
+    return read_table(source, np.int64, "node id", 1).reshape(-1)
 
 
 def load_bundle(

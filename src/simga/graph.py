@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InputFormatError, ParameterError
-from .textio import parse_table
+from .textio import read_table
 
 __all__ = [
     "Graph",
@@ -139,37 +139,11 @@ def load_edge_list(source: IO[str]) -> Graph:
     Ids are nonnegative integers; the graph spans 0..max_id, so unreferenced
     ids in that range come out isolated. Raises InputFormatError with the
     offending 1-based line number on malformed input, and on empty input.
-    A well-formed file is parsed in one numpy pass; any other file (comments
-    included) is read by the line loop, the only code that words errors.
     """
-    pairs = parse_table(source, np.int64, width=2, valid=lambda t: t.min() >= 0)
-    if pairs is not None:
-        return build_graph(int(pairs.max()) + 1, pairs)
-    max_id, edges = _read_edge_lines(source)
-    return build_graph(max_id + 1, edges)
-
-
-def _read_edge_lines(source: IO[str]) -> tuple[int, list[tuple[int, int]]]:
-    edges: list[tuple[int, int]] = []
-    max_id = -1
-    for lineno, line in enumerate(source, start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        parts = text.split()
-        if len(parts) != 2:
-            raise InputFormatError(f"line {lineno}: expected two node ids, got {len(parts)} tokens")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise InputFormatError(f"line {lineno}: non-integer node id") from None
-        if u < 0 or v < 0:
-            raise InputFormatError(f"line {lineno}: negative node id")
-        max_id = max(max_id, u, v)
-        edges.append((u, v))
-    if max_id < 0:
-        raise InputFormatError("empty edge list")
-    return max_id, edges
+    pairs = read_table(
+        source, np.int64, "node id", 2, comments=True, nonnegative=True, empty="empty edge list"
+    )
+    return build_graph(int(pairs.max()) + 1, pairs)
 
 
 def node_homophily(g: Graph, labels: np.ndarray) -> float:

@@ -31,7 +31,6 @@ from .nn import (
     adam_init,
     adam_step,
     draws_dropout,
-    ensure_finite,
     init_linear,
     mlp_backward,
     mlp_forward,
@@ -119,6 +118,8 @@ class HyperParams:
             raise ParameterError("max_epochs must be >= 0")
         if not self.patience > 0:
             raise ParameterError("patience must be > 0")
+        if self.seed < 0:
+            raise ParameterError("seed must be >= 0")
         if self.sim_mode not in ("exact", "approx"):
             raise ParameterError("sim_mode must be 'exact' or 'approx'")
 
@@ -230,7 +231,6 @@ def _embed_with_cache(
     hf *= hp.delta
     combined += hf
     hh, cache_h = mlp_forward(params.mlp_h, combined, hp.dropout, training, rng)
-    ensure_finite(hh, "embedding")
     return hh, {"cache_f": cache_f, "cache_h": cache_h, "adj": adj}
 
 

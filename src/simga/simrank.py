@@ -48,7 +48,7 @@ import scipy.sparse as sp
 
 from .errors import GuardError, InputFormatError, NumericError, ParameterError
 from .graph import _MAX_NODES, Graph, transition
-from .textio import parse_table
+from .textio import input_error, read_table
 
 __all__ = [
     "DENSE_LIMIT",
@@ -403,53 +403,21 @@ def load_sparse_sim(source: IO[str]) -> SparseSim:
     """Read a dump_sparse_sim text dump back; malformed input raises InputFormatError."""
     header = source.readline().split()
     if len(header) != 4:
-        raise InputFormatError("similarity dump: bad header, expected 'n k c method'")
+        raise input_error(source, "similarity dump: bad header, expected 'n k c method'")
     try:
         n, k, c = int(header[0]), int(header[1]), float(header[2])
     except ValueError:
-        raise InputFormatError("similarity dump: non-numeric header field") from None
+        raise input_error(source, "similarity dump: non-numeric header field") from None
     if n < 0 or k < 1:
-        raise InputFormatError("similarity dump: header needs n >= 0 and k >= 1")
+        raise input_error(source, "similarity dump: header needs n >= 0 and k >= 1")
     if n > _MAX_NODES:  # as for an edge id that large: no n-long array, no int64 pair keys
         raise MemoryError(f"similarity dump of {n} nodes: node ids must stay below {_MAX_NODES}")
-    method = header[3]
-    body = parse_table(source, _DUMP_ROW)
-    if body is not None:
-        rows, cols, scores = body["u"], body["v"], body["s"]
-    else:
-        rows, cols, scores = _read_dump_lines(source)
-    row_arr = np.asarray(rows, dtype=np.int64)
-    if row_arr.size and (row_arr.min() < 0 or row_arr.max() >= n):
-        raise InputFormatError(f"similarity dump: row id outside [0, {n})")
-    if np.any(np.diff(row_arr) < 0):
-        raise InputFormatError("similarity dump: rows out of order")
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(row_arr, minlength=n))])
-    return SparseSim(
-        n=n,
-        k=k,
-        indptr=indptr,
-        cols=np.ascontiguousarray(cols, dtype=np.int64),
-        scores=np.ascontiguousarray(scores, dtype=np.float64),
-        method=method,
-        c=c,
-    )
-
-
-def _read_dump_lines(source: IO[str]) -> tuple[list[int], list[int], list[float]]:
-    rows: list[int] = []
-    cols: list[int] = []
-    scores: list[float] = []
-    for lineno, line in enumerate(source, start=2):
-        text = line.strip()
-        if not text:
-            continue
-        parts = text.split()
-        if len(parts) != 3:
-            raise InputFormatError(f"similarity dump line {lineno}: expected 'u v score'")
-        try:
-            rows.append(int(parts[0]))
-            cols.append(int(parts[1]))
-            scores.append(float(parts[2]))
-        except ValueError:
-            raise InputFormatError(f"similarity dump line {lineno}: bad value") from None
-    return rows, cols, scores
+    body = read_table(source, _DUMP_ROW, "similarity dump value", first_line=2)
+    rows = body["u"]
+    if rows.size and (rows.min() < 0 or rows.max() >= n):
+        raise input_error(source, f"similarity dump: row id outside [0, {n})")
+    if np.any(np.diff(rows) < 0):
+        raise input_error(source, "similarity dump: rows out of order")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    cols, scores = np.ascontiguousarray(body["v"]), np.ascontiguousarray(body["s"])
+    return SparseSim(n=n, k=k, indptr=indptr, cols=cols, scores=scores, method=header[3], c=c)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import gen_twin_graph
+from .errors import ParameterError
 from .graph import Graph, random_graph, transition
 from .model import HyperParams, aggregate, embed, init_params, precompute_similarity
 from .simrank import simrank_localpush, simrank_power_series
@@ -132,4 +133,6 @@ def twin_suite(seed: int = 0, bundles: int = 3) -> SuiteResult:
 
 
 def run_all(seed: int = 0) -> list[SuiteResult]:
+    if seed < 0:
+        raise ParameterError("seed must be >= 0")
     return [walk_suite(seed=seed), push_suite(seed=seed), twin_suite(seed=seed)]

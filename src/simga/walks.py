@@ -25,7 +25,7 @@ import scipy.sparse as sp
 
 from .errors import GuardError, ParameterError
 from .graph import Graph, transition
-from .simrank import SimMatrix, _dense_guard
+from .simrank import SimMatrix, _check_decay, _dense_guard
 
 __all__ = [
     "WalkDistribution",
@@ -123,8 +123,7 @@ def simrank_series(g: Graph, c: float, terms: int) -> SimMatrix:
     The G_l of one pair sum to at most 1, so the off-diagonal truncation error
     is at most c^(terms+1) <= c^(terms+1) / (1-c).
     """
-    if not (0.0 < c < 1.0):
-        raise ParameterError(f"decay factor must lie in (0, 1), got {c}")
+    _check_decay(c)
     if terms < 1:
         raise ParameterError("terms must be >= 1")
     _dense_guard(g.n, "walk-series similarity")

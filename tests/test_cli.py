@@ -465,6 +465,31 @@ class TestMalformedInputs:
         assert main(train_args(fixture_dir, fixture_dir / "run", flags)) == 2
         assert_one_error_line(capsys.readouterr().err)
 
+    @pytest.mark.parametrize("entry", ["train_flag", "train_config", "verify", "bench"])
+    def test_negative_seed(self, fixture_dir, capsys, entry):
+        d = fixture_dir
+        (d / "config.txt").write_text("seed=-1\n")
+        argv = {
+            "train_flag": train_args(d, d / "run", ["--seed", "-3"]),
+            "train_config": ["train", *bundle_flags(d), "--out", str(d / "run"),
+                             "--config", str(d / "config.txt")],
+            "verify": ["verify", "--seed", "-1"],
+            "bench": ["bench", "--ladder", "150,300", "--seed", "-1"],
+        }[entry]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "seed" in err
+
+    def test_bad_split_names_its_file(self, fixture_dir, capsys):
+        d = fixture_dir
+        lines = (d / "val.txt").read_text().splitlines()
+        (d / "val.txt").write_text("\n".join(["1.5", *lines[1:]]) + "\n")
+        assert main(train_args(d, d / "run")) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "val.txt: line 1: non-integer node id" in err
+
     def test_non_finite_feature_names_the_node(self, fixture_dir, capsys):
         d = fixture_dir
         feats = np.loadtxt(d / "features.txt")
@@ -487,12 +512,14 @@ def run_cli(argv):
 class TestMutatedInputFiles:
     """Whatever one input file holds, simrank and train end in a documented exit code."""
 
-    @settings(max_examples=20, deadline=None)
-    @given(target=st.sampled_from(["edges", "features", "labels", "train", "similarity"]),
+    @settings(max_examples=24, deadline=None)
+    @given(target=st.sampled_from(["edges", "features", "labels", "train", "similarity", "config"]),
            edit=st.data())
     def test_documented_exit_and_one_line(self, target, edit):
         with tempfile.TemporaryDirectory() as tmp:
             d = write_bundle(Path(tmp), gen_structural_heterophily(seed=0, n=48, classes=2))
+            # HyperParams defaults for keys that train_args leaves unset
+            (d / "config.txt").write_text("# run config\nwidth = 64\nlr = 0.01\neps = 0.1\nalpha = 0.5\n")
             simrank_argv = ["simrank", "--edges", str(d / "edges.txt"), "--labels", str(d / "labels.txt"),
                             "--mode", "approx", "--k", "16", "--out", str(d / "sim")]
             dump = d / "sim" / "similarity.txt"
@@ -504,9 +531,10 @@ class TestMutatedInputFiles:
                 path = d / f"{target}.txt"
                 head, body = "", path.read_text().splitlines()
             path.write_text(head + edit.draw(mutated(st.just([line.split() for line in body]))))
-            runs = [] if target == "similarity" else [run_cli(simrank_argv)]
+            runs = [] if target in ("similarity", "config") else [run_cli(simrank_argv)]
             sim_flags = ["--sim", str(dump)] if dump.exists() else []
-            runs.append(run_cli(train_args(d, d / "run", ["--max-epochs", "2", *sim_flags])))
+            config_flags = ["--config", str(path)] if target == "config" else []
+            runs.append(run_cli(train_args(d, d / "run", ["--max-epochs", "2", *sim_flags, *config_flags])))
         for code, err in runs:
             assert code in (0, 2, 3, 4)
             assert "Traceback" not in err

@@ -1,10 +1,10 @@
-"""The numpy fast parse against each reader's line loop.
+"""The numpy fast parse against the shared line loop.
 
-Every reader tries `parse_table` (one np.loadtxt pass) first and falls back to
-its line loop. These tests hold the two to the same contract: on any text,
-the reader must return bit-identical arrays to the line loop alone, or raise
-the same error with the same message; and on well-formed files the reader
-must not fall back at all.
+Every reader makes one `textio.read_table` call, which tries `parse_table`
+(one np.loadtxt pass) first and falls back to the line loop. These tests hold
+the two to the same contract: on any text, the reader must return
+bit-identical arrays to the line loop alone, or raise the same error with the
+same message; and on well-formed files the reader must not fall back at all.
 """
 
 import io
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simga import data, graph, simrank
+from simga import data, graph, simrank, textio
 from simga.data import load_features, load_labels, load_split
 from simga.graph import load_edge_list
 from simga.simrank import SparseSim, dump_sparse_sim, load_sparse_sim
@@ -102,14 +102,14 @@ def arrays(*arrs):
     return [(a.dtype.str, a.shape, a.flags.c_contiguous, a.view(np.int64).tobytes()) for a in arrs]
 
 
-def line_loop_only(module):
-    """Within this context the module's readers skip the fast parse."""
-    return mock.patch.object(module, "parse_table", lambda *args, **kwargs: None)
+def line_loop_only():
+    """Within this context every reader skips the fast parse."""
+    return mock.patch.object(textio, "parse_table", lambda *args, **kwargs: None)
 
 
-def check_same(reader, module, text):
+def check_same(reader, text):
     fast = outcome(reader, text)
-    with line_loop_only(module):
+    with line_loop_only():
         slow = outcome(reader, text)
     assert fast == slow
 
@@ -118,27 +118,27 @@ class TestFastParseMatchesLineLoop:
     @settings(max_examples=60, deadline=None)
     @given(EDGE_TEXT)
     def test_edge_list(self, text):
-        check_same(load_edge_list, graph, text)
+        check_same(load_edge_list, text)
 
     @settings(max_examples=60, deadline=None)
     @given(FEATURE_TEXT)
     def test_features(self, text):
-        check_same(load_features, data, text)
+        check_same(load_features, text)
 
     @settings(max_examples=40, deadline=None)
     @given(INT_TEXT)
     def test_labels(self, text):
-        check_same(load_labels, data, text)
+        check_same(load_labels, text)
 
     @settings(max_examples=40, deadline=None)
     @given(INT_TEXT)
     def test_split(self, text):
-        check_same(load_split, data, text)
+        check_same(load_split, text)
 
     @settings(max_examples=60, deadline=None)
     @given(dump_text())
     def test_similarity_dump(self, text):
-        check_same(load_sparse_sim, simrank, text)
+        check_same(load_sparse_sim, text)
 
     @pytest.mark.parametrize(
         "reader, module, text",
@@ -161,8 +161,8 @@ class TestFastParseMatchesLineLoop:
             (load_sparse_sim, simrank, "3 3 0.6 fixedpoint\n"),
         ],
     )
-    def test_named_cases(self, reader, module, text):
-        check_same(reader, module, text)
+    def test_named_cases(self, reader, module, text):  # module only names the case
+        check_same(reader, text)
 
     def test_pipe_is_read_by_the_line_loop(self):
         # a stream that cannot rewind never enters the fast parse
@@ -186,27 +186,27 @@ def write_inputs(d):
 
 
 class TestFastPathIsTaken:
-    """On a well-formed file no reader may fall back to its line loop."""
+    """On a well-formed file no reader may fall back to the line loop."""
 
     @pytest.mark.parametrize(
-        "reader, file, module, loop",
+        "reader, file",
         [
-            (load_edge_list, "edges.txt", graph, "_read_edge_lines"),
-            (load_features, "features.txt", data, "_read_feature_lines"),
-            (load_labels, "labels.txt", data, "_read_int_lines"),
-            (load_split, "labels.txt", data, "_read_int_lines"),
-            (load_sparse_sim, "sim.txt", simrank, "_read_dump_lines"),
+            (load_edge_list, "edges.txt"),
+            (load_features, "features.txt"),
+            (load_labels, "labels.txt"),
+            (load_split, "labels.txt"),
+            (load_sparse_sim, "sim.txt"),
         ],
         ids=["edge_list", "features", "labels", "split", "similarity_dump"],
     )
-    def test_reader_returns_without_its_line_loop(self, tmp_path, monkeypatch, reader, file, module, loop):
+    def test_reader_returns_without_its_line_loop(self, tmp_path, monkeypatch, reader, file):
         write_inputs(tmp_path)
 
         def refuse(*args, **kwargs):
             raise AssertionError("line loop used on a well-formed file")
 
-        monkeypatch.setattr(module, loop, refuse)
+        monkeypatch.setattr(textio, "_read_lines", refuse)
         with open(tmp_path / file) as fh:
             reader(fh)
         monkeypatch.undo()
-        check_same(reader, module, (tmp_path / file).read_text())
+        check_same(reader, (tmp_path / file).read_text())
