@@ -3,10 +3,14 @@
 Pipeline: a feature branch embeds the node-feature matrix and an adjacency
 branch embeds raw binary adjacency rows (sparse row x dense weight); the two
 are blended with the feature factor delta and passed through the head MLP to
-get H. The precomputed sparse similarity then mixes rows globally,
-Z = (1 - alpha) * S @ H + alpha * H, and a softmax over Z gives class
-probabilities. S is computed once before training (the expensive part is
-outside the training loop) and reused every epoch.
+get H. The head's first layer W_h0 is affine and nothing nonlinear sits
+between the blend and it, so W_h0 is applied to each branch's weight before
+the products (X (W_f W_h0), A (W_a W_h0)); the blend is formed at W_h0's
+output width, never at the branch width, and the backward pass runs its
+sparse product at that width too. The precomputed sparse similarity then
+mixes rows globally, Z = (1 - alpha) * S @ H + alpha * H, and a softmax over
+Z gives class probabilities. S is computed once before training (the
+expensive part is outside the training loop) and reused every epoch.
 """
 
 from __future__ import annotations
@@ -30,11 +34,11 @@ from .nn import (
     LinearLayer,
     adam_init,
     adam_step,
+    check_fan_in,
     draws_dropout,
     init_linear,
-    mlp_backward,
-    mlp_forward,
-    relu_pre_activations,
+    mlp_backward_to_pre,
+    mlp_forward_from_pre,
     softmax_cross_entropy,
     softmax_rows,
 )
@@ -220,18 +224,24 @@ def _embed_with_cache(
     training: bool,
     rng: np.random.Generator | None,
 ):
+    """H and its backward cache, with the head's first layer folded into both branches.
+
+    The head's first layer W_h0 is affine, so it is applied to each branch's
+    weight before the products, never to the blended branch output:
+    pre0 = delta*X(W_f W_h0) + (1-delta)*A(W_a W_h0) + (delta*b_f + (1-delta)*b_a) W_h0 + b_h0.
+    The sparse product A(W_a W_h0) then runs at W_h0's output width, the
+    class count at mlp_h_depth=1. The rest of the head runs on pre0.
+    """
     adj = bundle.graph.adjacency_csr()
-    hf, cache_f = mlp_forward(params.mlp_f, bundle.features, hp.dropout, training, rng)
-    la = params.mlp_a[0]
-    # combined = delta * hf + (1 - delta) * (adj @ W_a + b_a), built in place;
-    # hf is the single layer's output, which backward does not read
-    combined = adj @ la.weight
-    combined += la.bias
-    combined *= 1.0 - hp.delta
-    hf *= hp.delta
-    combined += hf
-    hh, cache_h = mlp_forward(params.mlp_h, combined, hp.dropout, training, rng)
-    return hh, {"cache_f": cache_f, "cache_h": cache_h, "adj": adj}
+    lf, la, l0 = params.mlp_f[0], params.mlp_a[0], params.mlp_h[0]
+    check_fan_in(0, bundle.features, lf)
+    d = hp.delta
+    pre0 = adj @ (la.weight @ l0.weight)
+    pre0 *= 1.0 - d
+    pre0 += d * (bundle.features @ (lf.weight @ l0.weight))
+    pre0 += (d * lf.bias + (1.0 - d) * la.bias) @ l0.weight + l0.bias
+    hh, cache_h = mlp_forward_from_pre(params.mlp_h, pre0, hp.dropout, training, rng)
+    return hh, {"cache_h": cache_h, "adj": adj}
 
 
 def embed(
@@ -275,21 +285,26 @@ def forward(
 
 
 def _backward(bundle, s, params, hp, cache, grad_z) -> list[np.ndarray]:
-    """Gradient of the loss wrt every parameter array, ordered like named_arrays()."""
+    """Gradient of the loss wrt every parameter array, ordered like named_arrays().
+
+    From g0 = dL/dpre0 (see _embed_with_cache) each branch's gradient is its
+    width-W_h0 product times W_h0^T; Graph checks that the adjacency is
+    symmetric, so A g0 = A^T g0.
+    """
     if hp.alpha == 1.0:
         grad_h = hp.alpha * grad_z
     else:
         grad_h = (1.0 - hp.alpha) * (s.to_csr().T @ grad_z) + hp.alpha * grad_z
-    grad_combined, grads_h = mlp_backward(params.mlp_h, cache["cache_h"], grad_h)
-    grad_hf = hp.delta * grad_combined
-    grad_ha = (1.0 - hp.delta) * grad_combined
-    _, grads_f = mlp_backward(params.mlp_f, cache["cache_f"], grad_hf, input_grad=False)
-    gw_a = (cache["adj"].T @ grad_ha)
-    gb_a = grad_ha.sum(axis=0)
-    flat: list[np.ndarray] = []
-    for gw, gb in grads_f:
-        flat.extend((gw, gb))
-    flat.extend((np.asarray(gw_a), gb_a))
+    g0, grads_h = mlp_backward_to_pre(params.mlp_h, cache["cache_h"], grad_h)
+    lf, la, l0 = params.mlp_f[0], params.mlp_a[0], params.mlp_h[0]
+    d = hp.delta
+    xg = bundle.features.T @ g0
+    ag = cache["adj"] @ g0
+    gsum = g0.sum(axis=0)
+    bias = d * lf.bias + (1.0 - d) * la.bias
+    grads_h[0] = (d * (lf.weight.T @ xg) + (1.0 - d) * (la.weight.T @ ag) + np.outer(bias, gsum), gsum)
+    wt = l0.weight.T
+    flat = [d * (xg @ wt), d * (gsum @ wt), ag @ ((1.0 - d) * wt), (1.0 - d) * (gsum @ wt)]
     for gw, gb in grads_h:
         flat.extend((gw, gb))
     return flat
@@ -304,13 +319,15 @@ def loss_and_grads(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, list[np.ndarray], np.ndarray]:
-    """Masked cross-entropy plus parameter gradients; also returns hidden pre-activations."""
+    """Masked cross-entropy plus parameter gradients; also returns the hidden pre-activations.
+
+    The head's only hidden pre-activation is pre0 at mlp_h_depth=2; at depth 1
+    there is none and an empty array comes back.
+    """
     z, cache = _logits_with_cache(bundle, s, params, hp, training, rng)
     loss, grad_z = softmax_cross_entropy(z, bundle.labels, index_mask)
     grads = _backward(bundle, s, params, hp, cache, grad_z)
-    pre = np.concatenate(
-        [relu_pre_activations(cache["cache_f"]), relu_pre_activations(cache["cache_h"])]
-    )
+    pre = np.concatenate([np.empty(0)] + [p.ravel() for p in cache["cache_h"]["pre"][:-1]])
     return loss, grads, pre
 
 

@@ -18,9 +18,11 @@ __all__ = [
     "LinearLayer",
     "init_linear",
     "draws_dropout",
+    "check_fan_in",
     "mlp_forward",
+    "mlp_forward_from_pre",
     "mlp_backward",
-    "relu_pre_activations",
+    "mlp_backward_to_pre",
     "softmax_rows",
     "softmax_cross_entropy",
     "AdamState",
@@ -62,6 +64,12 @@ def draws_dropout(layers: list[LinearLayer], dropout: float) -> bool:
     return dropout > 0.0 and len(layers) > 1
 
 
+def check_fan_in(i: int, x: np.ndarray, layer: LinearLayer) -> None:
+    """Refuse an input `x` to layer `i` whose width is not the layer's fan_in."""
+    if x.shape[1] != layer.weight.shape[0]:
+        raise ParameterError(f"layer {i}: input width {x.shape[1]} != fan_in {layer.weight.shape[0]}")
+
+
 def mlp_forward(
     layers: list[LinearLayer],
     x: np.ndarray,
@@ -74,63 +82,75 @@ def mlp_forward(
     While training, inverted dropout is applied to each hidden activation, so
     evaluation needs no rescaling. Returns (output, cache for backward).
     """
+    x = np.asarray(x, dtype=np.float64)
+    check_fan_in(0, x, layers[0])
+    out, cache = mlp_forward_from_pre(
+        layers, x @ layers[0].weight + layers[0].bias, dropout, training, rng
+    )
+    cache["inputs"][0] = x
+    return out, cache
+
+
+def mlp_forward_from_pre(
+    layers: list[LinearLayer],
+    pre0: np.ndarray,
+    dropout: float = 0.0,
+    training: bool = False,
+    rng: np.random.Generator | None = None,
+) -> tuple[np.ndarray, dict]:
+    """mlp_forward from the first layer's pre-activation `pre0` on.
+
+    The caller has applied layers[0] itself, so the cache holds no input for
+    it; with a single layer the output is `pre0`.
+    """
     if training and draws_dropout(layers, dropout) and rng is None:
         raise ParameterError("dropout during training needs an rng")
-    inputs: list[np.ndarray] = []
-    pre: list[np.ndarray] = []
+    inputs: list[np.ndarray | None] = [None]
+    pre = [pre0]
     masks: list[np.ndarray | None] = []
-    h = np.asarray(x, dtype=np.float64)
-    last = len(layers) - 1
-    for i, layer in enumerate(layers):
-        if h.shape[1] != layer.weight.shape[0]:
-            raise ParameterError(
-                f"layer {i}: input width {h.shape[1]} != fan_in {layer.weight.shape[0]}"
-            )
+    z = pre0
+    for i in range(1, len(layers)):
+        h = np.maximum(z, 0.0)
+        mask = None
+        if training and dropout > 0.0:
+            mask = (rng.random(h.shape) >= dropout) / (1.0 - dropout)
+            h *= mask
+        masks.append(mask)
+        check_fan_in(i, h, layers[i])
         inputs.append(h)
-        z = h @ layer.weight + layer.bias
+        z = h @ layers[i].weight + layers[i].bias
         pre.append(z)
-        if i < last:
-            h = np.maximum(z, 0.0)
-            if training and dropout > 0.0:
-                mask = (rng.random(h.shape) >= dropout) / (1.0 - dropout)
-                h = h * mask
-                masks.append(mask)
-            else:
-                masks.append(None)
-        else:
-            h = z
-    ensure_finite(h, "mlp output")
-    return h, {"inputs": inputs, "pre": pre, "masks": masks}
+    ensure_finite(z, "mlp output")
+    return z, {"inputs": inputs, "pre": pre, "masks": masks}
 
 
 def mlp_backward(
-    layers: list[LinearLayer], cache: dict, grad_out: np.ndarray, input_grad: bool = True
-) -> tuple[np.ndarray | None, list[tuple[np.ndarray, np.ndarray]]]:
-    """Backprop through mlp_forward; returns (grad wrt input, [(dW, db)] per layer).
+    layers: list[LinearLayer], cache: dict, grad_out: np.ndarray
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """Backprop through mlp_forward; returns (grad wrt input, [(dW, db)] per layer)."""
+    g, grads = mlp_backward_to_pre(layers, cache, grad_out)
+    grads[0] = (cache["inputs"][0].T @ g, g.sum(axis=0))
+    return g @ layers[0].weight.T, grads
 
-    With input_grad=False the first layer's input gradient is not computed
-    and None comes back in its place (the input is data, not a parameter).
+
+def mlp_backward_to_pre(
+    layers: list[LinearLayer], cache: dict, grad_out: np.ndarray
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray] | None]]:
+    """Backprop through mlp_forward_from_pre: (grad wrt pre0, [(dW, db)] per layer).
+
+    The first layer's entry is None: the caller applied that layer, so the
+    caller differentiates it, from the returned grad wrt pre0.
     """
     grads: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(layers)
     g = grad_out
-    last = len(layers) - 1
-    for i in range(last, -1, -1):
-        if i < last:
-            mask = cache["masks"][i]
-            if mask is not None:
-                g = g * mask
-            g = g * (cache["pre"][i] > 0.0)
+    for i in range(len(layers) - 1, 0, -1):
         grads[i] = (cache["inputs"][i].T @ g, g.sum(axis=0))
-        g = g @ layers[i].weight.T if i or input_grad else None
-    return g, grads  # type: ignore[return-value]
-
-
-def relu_pre_activations(cache: dict) -> np.ndarray:
-    """Concatenated hidden pre-activations; empty for a single-layer stack."""
-    hidden = cache["pre"][:-1]
-    if not hidden:
-        return np.empty(0)
-    return np.concatenate([z.ravel() for z in hidden])
+        g = g @ layers[i].weight.T
+        mask = cache["masks"][i - 1]
+        if mask is not None:
+            g = g * mask
+        g = g * (cache["pre"][i - 1] > 0.0)
+    return g, grads
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:

@@ -79,6 +79,16 @@ def read_table(
     with no rows (None allows one). Lines are numbered from `first_line`.
     """
     valid = (lambda t: t.min() >= 0) if nonnegative else None
+    # consume a leading run of blank and `#` lines, so a header keeps the fast
+    # parse (np.loadtxt's own comment handling would also take inline comments)
+    while comments and source.seekable():
+        start = source.tell()
+        line = source.readline()
+        toks = line.split()
+        if not line or (toks and not toks[0].startswith("#")):
+            source.seek(start)
+            break
+        first_line += 1
     table = parse_table(source, dtype, width, valid)
     if table is not None:
         return table

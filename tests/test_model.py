@@ -7,6 +7,8 @@ from simga.data import gen_structural_heterophily, gen_twin_graph
 from simga.errors import DivergenceError, InputFormatError, ParameterError
 from simga.model import (
     HyperParams,
+    _backward,
+    _logits_with_cache,
     aggregate,
     embed,
     evaluate,
@@ -19,7 +21,16 @@ from simga.model import (
     precompute_similarity,
     save_checkpoint,
 )
-from simga.nn import adam_init, adam_step
+from simga.nn import (
+    adam_init,
+    adam_step,
+    flatten_arrays,
+    grad_check,
+    mlp_backward,
+    mlp_forward,
+    softmax_cross_entropy,
+    unflatten_arrays,
+)
 from simga.simrank import SimMatrix, topk_prune
 
 
@@ -168,6 +179,77 @@ class TestForward:
         probs = forward(bundle, sim, params, hp)
         for u, v in pairs:
             assert np.abs(probs[u] - probs[v]).max() <= 1e-9
+
+
+def unfolded_logits(bundle, sim, params, hp, rng):
+    """The two-branch forward with the blend materialised: the head runs on
+    combined = delta * (X W_f + b_f) + (1 - delta) * (A W_a + b_a)."""
+    lf, la = params.mlp_f[0], params.mlp_a[0]
+    adj = bundle.graph.adjacency_csr()
+    combined = hp.delta * (bundle.features @ lf.weight + lf.bias)
+    combined += (1.0 - hp.delta) * (adj @ la.weight + la.bias)
+    hh, cache_h = mlp_forward(params.mlp_h, combined, hp.dropout, True, rng)
+    return aggregate(sim, hh, hp.alpha), cache_h
+
+
+def unfolded_grads(bundle, sim, params, hp, cache_h, grad_z):
+    """Backprop of unfolded_logits, through the materialised blend's gradient."""
+    grad_h = (1.0 - hp.alpha) * (sim.to_csr().T @ grad_z) + hp.alpha * grad_z
+    grad_combined, grads_h = mlp_backward(params.mlp_h, cache_h, grad_h)
+    grad_hf = hp.delta * grad_combined
+    grad_ha = (1.0 - hp.delta) * grad_combined
+    adj = bundle.graph.adjacency_csr()
+    flat = [bundle.features.T @ grad_hf, grad_hf.sum(axis=0), adj.T @ grad_ha, grad_ha.sum(axis=0)]
+    for gw, gb in grads_h:
+        flat.extend((gw, gb))
+    return flat
+
+
+class TestFoldedHead:
+    """The head's first layer is applied to each branch before its product;
+    outputs and gradients must match the model with the blend materialised."""
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("delta", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
+    def test_matches_unfolded_model(self, depth, delta, alpha):
+        bundle = small_bundle(seed=4)
+        hp = quick_hp(mlp_h_depth=depth, dropout=0.5, delta=delta, alpha=alpha)
+        rng = np.random.default_rng(7)
+        params = init_params(rng, bundle.num_features, bundle.n, bundle.num_classes, hp)
+        for _, arr in params.named_arrays():  # nonzero biases, so the bias fold counts
+            arr[...] = rng.normal(size=arr.shape)
+        sim = precompute_similarity(bundle.graph, hp)
+
+        want_z, cache_h = unfolded_logits(bundle, sim, params, hp, np.random.default_rng(11))
+        got_z, cache = _logits_with_cache(bundle, sim, params, hp, True, np.random.default_rng(11))
+        _, grad_z = softmax_cross_entropy(want_z, bundle.labels, bundle.train_idx)
+        want = [want_z] + unfolded_grads(bundle, sim, params, hp, cache_h, grad_z)
+        got = [got_z] + _backward(bundle, sim, params, hp, cache, grad_z)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+    def test_depth_one_gradient_check(self):
+        # the default depth is linear before the softmax: no ReLU kink to skip
+        bundle = gen_structural_heterophily(seed=6, n=20, classes=2)
+        hp = quick_hp(k=bundle.n, width=10, delta=0.3, alpha=0.4)
+        rng = np.random.default_rng(0)
+        params = init_params(rng, bundle.num_features, bundle.n, bundle.num_classes, hp)
+        sim = precompute_similarity(bundle.graph, hp)
+        arrays = params.arrays()
+
+        def value_and_grad(flat):
+            for dst, src in zip(arrays, unflatten_arrays(flat, arrays)):
+                dst[...] = src
+            loss, grads, pre = loss_and_grads(bundle, sim, params, hp, bundle.train_idx)
+            assert pre.size == 0
+            return loss, flatten_arrays(grads), pre
+
+        err = grad_check(value_and_grad, flatten_arrays(arrays).copy(), samples=200,
+                         rng=np.random.default_rng(13))
+        assert err <= 1e-6
 
 
 class TestFit:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from simga import data, graph, simrank, textio
 from simga.data import load_features, load_labels, load_split
+from simga.errors import InputFormatError
 from simga.graph import load_edge_list
 from simga.simrank import SparseSim, dump_sparse_sim, load_sparse_sim
 
@@ -210,3 +211,21 @@ class TestFastPathIsTaken:
             reader(fh)
         monkeypatch.undo()
         check_same(reader, (tmp_path / file).read_text())
+
+    def test_leading_header_is_read_by_the_fast_parse(self, tmp_path, monkeypatch):
+        write_inputs(tmp_path)
+        body = (tmp_path / "edges.txt").read_text()
+        headed = "# u v\n\n  # second header line\n" + body
+        (tmp_path / "headed.txt").write_text(headed)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("line loop used on a file with a leading header")
+
+        monkeypatch.setattr(textio, "_read_lines", refuse)
+        with open(tmp_path / "headed.txt") as fh:
+            load_edge_list(fh)
+        monkeypatch.undo()
+        assert outcome(load_edge_list, headed) == outcome(load_edge_list, body)
+        # a bad row after the header is still worded at its own line number
+        with pytest.raises(InputFormatError, match="line 5: non-integer node id"):
+            load_edge_list(io.StringIO("# u v\n\n# more\n0 1\n1 x\n"))
