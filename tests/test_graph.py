@@ -38,6 +38,10 @@ class TestLoadEdgeList:
         with pytest.raises(InputFormatError, match="line 2"):
             graph_from_text("0 1\n1 x")
 
+    def test_line_numbers_count_a_leading_header(self):
+        with pytest.raises(InputFormatError, match="line 5: non-integer"):
+            graph_from_text("# u v\n\n# more\n0 1\n1 x\n")
+
     def test_wrong_arity_reports_line_number(self):
         with pytest.raises(InputFormatError, match="line 1"):
             graph_from_text("0 1 2")

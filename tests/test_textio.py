@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from simga import data, graph, simrank, textio
 from simga.data import load_features, load_labels, load_split
-from simga.errors import InputFormatError
 from simga.graph import load_edge_list
 from simga.simrank import SparseSim, dump_sparse_sim, load_sparse_sim
 
@@ -178,6 +177,7 @@ def write_inputs(d):
     """One well-formed file per reader, as numpy and dump_sparse_sim write them."""
     rng = np.random.default_rng(0)
     np.savetxt(d / "edges.txt", rng.integers(0, 50, size=(200, 2)), fmt="%d")
+    (d / "edges_header.txt").write_text("# u v\n\n  # second header line\n" + (d / "edges.txt").read_text())
     np.savetxt(d / "features.txt", rng.normal(size=(50, 3)))
     np.savetxt(d / "labels.txt", rng.integers(0, 4, size=50), fmt="%d")
     sim = SparseSim(n=3, k=2, indptr=[0, 2, 3, 4], cols=[0, 2, 1, 2],
@@ -193,12 +193,13 @@ class TestFastPathIsTaken:
         "reader, file",
         [
             (load_edge_list, "edges.txt"),
+            (load_edge_list, "edges_header.txt"),
             (load_features, "features.txt"),
             (load_labels, "labels.txt"),
             (load_split, "labels.txt"),
             (load_sparse_sim, "sim.txt"),
         ],
-        ids=["edge_list", "features", "labels", "split", "similarity_dump"],
+        ids=["edge_list", "edge_list_with_header", "features", "labels", "split", "similarity_dump"],
     )
     def test_reader_returns_without_its_line_loop(self, tmp_path, monkeypatch, reader, file):
         write_inputs(tmp_path)
@@ -211,21 +212,3 @@ class TestFastPathIsTaken:
             reader(fh)
         monkeypatch.undo()
         check_same(reader, (tmp_path / file).read_text())
-
-    def test_leading_header_is_read_by_the_fast_parse(self, tmp_path, monkeypatch):
-        write_inputs(tmp_path)
-        body = (tmp_path / "edges.txt").read_text()
-        headed = "# u v\n\n  # second header line\n" + body
-        (tmp_path / "headed.txt").write_text(headed)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("line loop used on a file with a leading header")
-
-        monkeypatch.setattr(textio, "_read_lines", refuse)
-        with open(tmp_path / "headed.txt") as fh:
-            load_edge_list(fh)
-        monkeypatch.undo()
-        assert outcome(load_edge_list, headed) == outcome(load_edge_list, body)
-        # a bad row after the header is still worded at its own line number
-        with pytest.raises(InputFormatError, match="line 5: non-integer node id"):
-            load_edge_list(io.StringIO("# u v\n\n# more\n0 1\n1 x\n"))
