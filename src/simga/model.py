@@ -7,9 +7,11 @@ get H. The head's first layer W_h0 is affine and nothing nonlinear sits
 between the blend and it, so W_h0 is applied to each branch's weight before
 the products (X (W_f W_h0), A (W_a W_h0)); the blend is formed at W_h0's
 output width, never at the branch width, and the backward pass runs its
-sparse product at that width too. The precomputed sparse similarity then
-mixes rows globally, Z = (1 - alpha) * S @ H + alpha * H, and a softmax over
-Z gives class probabilities. S is computed once before training (the
+sparse product at that width too. The adjacency weight's n x width gradient
+is never built either: the backward pass returns it as two factors and Adam
+forms it one cache block of rows at a time. The precomputed sparse similarity
+then mixes rows globally, Z = (1 - alpha) * S @ H + alpha * H, and a softmax
+over Z gives class probabilities. S is computed once before training (the
 expensive part is outside the training loop) and reused every epoch.
 """
 
@@ -284,12 +286,14 @@ def forward(
     return softmax_rows(z)
 
 
-def _backward(bundle, s, params, hp, cache, grad_z) -> list[np.ndarray]:
+def _backward(bundle, s, params, hp, cache, grad_z) -> list[np.ndarray | tuple[np.ndarray, np.ndarray]]:
     """Gradient of the loss wrt every parameter array, ordered like named_arrays().
 
     From g0 = dL/dpre0 (see _embed_with_cache) each branch's gradient is its
     width-W_h0 product times W_h0^T; Graph checks that the adjacency is
-    symmetric, so A g0 = A^T g0.
+    symmetric, so A g0 = A^T g0. W_a's gradient, n x width, comes back as the
+    factor pair (A g0, (1-delta) W_h0^T): adam_step forms it a block at a
+    time, and loss_and_grads multiplies it out.
     """
     if hp.alpha == 1.0:
         grad_h = hp.alpha * grad_z
@@ -304,7 +308,7 @@ def _backward(bundle, s, params, hp, cache, grad_z) -> list[np.ndarray]:
     bias = d * lf.bias + (1.0 - d) * la.bias
     grads_h[0] = (d * (lf.weight.T @ xg) + (1.0 - d) * (la.weight.T @ ag) + np.outer(bias, gsum), gsum)
     wt = l0.weight.T
-    flat = [d * (xg @ wt), d * (gsum @ wt), ag @ ((1.0 - d) * wt), (1.0 - d) * (gsum @ wt)]
+    flat = [d * (xg @ wt), d * (gsum @ wt), (ag, (1.0 - d) * wt), (1.0 - d) * (gsum @ wt)]
     for gw, gb in grads_h:
         flat.extend((gw, gb))
     return flat
@@ -327,6 +331,7 @@ def loss_and_grads(
     z, cache = _logits_with_cache(bundle, s, params, hp, training, rng)
     loss, grad_z = softmax_cross_entropy(z, bundle.labels, index_mask)
     grads = _backward(bundle, s, params, hp, cache, grad_z)
+    grads = [g[0] @ g[1] if isinstance(g, tuple) else g for g in grads]  # W_a's pair multiplied out
     pre = np.concatenate([np.empty(0)] + [p.ravel() for p in cache["cache_h"]["pre"][:-1]])
     return loss, grads, pre
 

@@ -205,7 +205,7 @@ def adam_init(params: list[np.ndarray]) -> AdamState:
 
 def adam_step(
     params: list[np.ndarray],
-    grads: list[np.ndarray],
+    grads: list[np.ndarray | tuple[np.ndarray, np.ndarray]],
     state: AdamState,
     lr: float,
     weight_decay: float = 0.0,
@@ -217,6 +217,13 @@ def adam_step(
     Each array is updated in blocks of leading-axis rows holding at most
     ADAM_BLOCK elements, with the state's two scratch rows as temporaries, so
     a step allocates no array and a block's streams stay in cache.
+
+    A gradient may come as a factor pair (left, right) with g = left @ right;
+    each block's rows of g are then formed in scratch from left's rows, so the
+    full gradient is never built. Those rows are bit-identical to left @ right's
+    wherever BLAS's gemm rounds a row the same in a block as in the whole product
+    (checked for n x 4 @ 4 x 64 and n x 64 @ 64 x 64); a one-row block runs as
+    gemv instead and can differ in the last bit.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ParameterError("params/grads/state length mismatch")
@@ -229,11 +236,16 @@ def adam_step(
         if p[:rows].size > state.scratch.shape[1]:  # one row wider than a block
             state.scratch = np.empty((2, p[:rows].size))
         for lo in range(0, len(p), rows):
-            pb, gb, mb, vb = (arr[lo : lo + rows] for arr in (p, g, m, v))
+            pb, mb, vb = (arr[lo : lo + rows] for arr in (p, m, v))
             a, b = (row[: pb.size].reshape(pb.shape) for row in state.scratch)
-            if weight_decay:
-                np.multiply(pb, weight_decay, out=a)
-                gb = np.add(gb, a, out=a)
+            if isinstance(g, tuple):
+                gb = np.matmul(g[0][lo : lo + rows], g[1], out=a)
+                if weight_decay:
+                    gb += np.multiply(pb, weight_decay, out=b)
+            else:
+                gb = g[lo : lo + rows]
+                if weight_decay:
+                    gb = np.add(gb, np.multiply(pb, weight_decay, out=a), out=a)
             mb *= b1
             mb += np.multiply(gb, 1.0 - b1, out=b)
             vb *= b2

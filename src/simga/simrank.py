@@ -68,6 +68,8 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 20_000
+SYMMETRY_BLOCK = 2**18  # elements per block of SimMatrix's symmetry check (2 MB of float64)
+DUMP_CHUNK = 2**16  # entries per write in dump_sparse_sim
 
 
 def _check_decay(c: float) -> None:
@@ -98,15 +100,19 @@ class SimMatrix:
     iterations: int | None = None
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if not np.isfinite(self.values).all():
+        v = self.values = np.asarray(self.values, dtype=np.float64)
+        if not v.size:
+            return
+        lo, hi = v.min(), v.max()  # NaN reaches both, so no n x n bool array is needed
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise NumericError(f"similarity matrix ({self.method}) has non-finite entries")
-        if self.method == "fixedpoint" and self.values.size:
-            v = self.values
-            asym = np.subtract(v, v.T)  # one n x n buffer, reused by abs
-            if np.abs(asym, out=asym).max() > 1e-12:
-                raise NumericError("fixed-point similarity not symmetric within 1e-12")
-            if v.min() < 0.0 or v.max() > 1.0 + 1e-9:
+        if self.method == "fixedpoint":
+            rows = max(1, SYMMETRY_BLOCK // len(v))
+            for r in range(0, len(v), rows):  # row block against column block, never all of v - v.T
+                asym = np.subtract(v[r : r + rows], v[:, r : r + rows].T)
+                if np.abs(asym, out=asym).max() > 1e-12:
+                    raise NumericError("fixed-point similarity not symmetric within 1e-12")
+            if lo < 0.0 or hi > 1.0 + 1e-9:
                 raise NumericError("fixed-point similarity outside [0, 1]")
             if np.any(np.diag(v) != 1.0):
                 raise NumericError("fixed-point similarity diagonal must be exactly 1")
@@ -393,10 +399,14 @@ _DUMP_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("s", np.float64)])
 def dump_sparse_sim(s: SparseSim, sink: IO[str]) -> None:
     """Text dump: header "n k c method", then "u v score" rows sorted by (u, v)."""
     sink.write(f"{s.n} {s.k} {s.c:.17g} {s.method}\n")
-    for u in range(s.n):
-        cols, scores = s.row(u)
-        for v, score in zip(cols.tolist(), scores.tolist()):
-            sink.write(f"{u} {v} {score:.17g}\n")
+    rows = np.repeat(np.arange(s.n), np.diff(s.indptr))
+    for lo in range(0, rows.size, DUMP_CHUNK):  # one %-format and one write per chunk
+        m = min(DUMP_CHUNK, rows.size - lo)
+        values: list = [None] * (3 * m)
+        values[0::3] = rows[lo : lo + m].tolist()
+        values[1::3] = s.cols[lo : lo + m].tolist()
+        values[2::3] = s.scores[lo : lo + m].tolist()
+        sink.write(("%d %d %.17g\n" * m) % tuple(values))
 
 
 def load_sparse_sim(source: IO[str]) -> SparseSim:

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,7 +226,8 @@ class TestFoldedHead:
         got_z, cache = _logits_with_cache(bundle, sim, params, hp, True, np.random.default_rng(11))
         _, grad_z = softmax_cross_entropy(want_z, bundle.labels, bundle.train_idx)
         want = [want_z] + unfolded_grads(bundle, sim, params, hp, cache_h, grad_z)
-        got = [got_z] + _backward(bundle, sim, params, hp, cache, grad_z)
+        grads = _backward(bundle, sim, params, hp, cache, grad_z)
+        got = [got_z] + [g[0] @ g[1] if isinstance(g, tuple) else g for g in grads]  # W_a's pair
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.shape == w.shape
@@ -281,13 +283,19 @@ class TestFit:
             adam_step(arrays, grads, state, hp.lr, weight_decay=0.0)
         assert evaluate(bundle, sim, params, hp, bundle.train_idx) == 1.0
 
-    @pytest.mark.parametrize("depth", [1, 2])
-    def test_matches_two_forward_reference_loop(self, depth):
-        # fit reuses each eval pass as the next training forward; a plain loop
-        # with a training forward, a textbook Adam step and an eval forward per
-        # epoch must give the same run bit for bit
-        bundle = small_bundle(seed=2, n=120)
-        hp = quick_hp(mlp_h_depth=depth, dropout=0.5, weight_decay=5e-4, max_epochs=60, patience=8)
+    @pytest.mark.parametrize(
+        "depth,n,width",
+        [(1, 120, 16), (2, 120, 16), (1, 1100, 64), (2, 1100, 64)],
+        ids=["1", "2", "1-n1100-w64", "2-n1100-w64"],
+    )
+    def test_matches_two_forward_reference_loop(self, depth, n, width):
+        # fit reuses each eval pass as the next training forward and forms W_a's
+        # gradient inside Adam; a plain loop with a training forward, a textbook
+        # Adam step and an eval forward per epoch must give the same run bit for
+        # bit. At n=1100, width 64, W_a spans three Adam blocks.
+        bundle = small_bundle(seed=2, n=n)
+        hp = quick_hp(mlp_h_depth=depth, dropout=0.5, weight_decay=5e-4, max_epochs=60, patience=8,
+                      width=width)
         sim = precompute_similarity(bundle.graph, hp)
         params, report = fit(bundle, hp, sim=sim)
 
@@ -323,6 +331,22 @@ class TestFit:
         for got, want in zip(params.arrays(), best):
             assert np.array_equal(got, want)
         assert report.test_accuracy == evaluate(bundle, sim, params, hp, bundle.test_idx)
+
+    def test_peak_memory_stays_near_the_live_parameters(self):
+        # W_a, its Adam m and v, and best are four n x width arrays that live
+        # through fit; its gradient is formed inside Adam a block at a time,
+        # so the traced peak stays under five of them
+        bundle = small_bundle(seed=3, n=2000)
+        hp = quick_hp(width=256, max_epochs=5, patience=np.inf)
+        sim = precompute_similarity(bundle.graph, hp)
+        bundle.graph.adjacency_csr()
+        tracemalloc.start()
+        try:
+            fit(bundle, hp, sim=sim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * bundle.n * hp.width * 8
 
     def test_wall_clock_accounting(self):
         bundle = small_bundle()

@@ -188,6 +188,24 @@ class TestAdam:
         for got, want in zip(params + state.m + state.v, expect + ref_state.m + ref_state.v):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    @pytest.mark.parametrize("inner", [4, 64])
+    def test_factor_pair_matches_materialised_gradient(self, inner, weight_decay):
+        # a gradient given as (left, right) is formed block by block inside the
+        # step; the run must equal the one given left @ right bit for bit
+        rng = np.random.default_rng(1)
+        rows = ADAM_BLOCK // 64
+        for n in (rows - 3, 2 * rows + 17, 3 * rows + 2):
+            params = [rng.standard_normal((n, 64)), rng.standard_normal(64)]
+            expect = [p.copy() for p in params]
+            state, ref_state = adam_init(params), adam_init(expect)
+            for _ in range(4):
+                left, right, bias = (rng.standard_normal(s) for s in ((n, inner), (inner, 64), 64))
+                adam_step(params, [(left, right), bias], state, lr=0.01, weight_decay=weight_decay)
+                adam_step(expect, [left @ right, bias], ref_state, lr=0.01, weight_decay=weight_decay)
+            for got, want in zip(params + state.m + state.v, expect + ref_state.m + ref_state.v):
+                assert np.array_equal(got, want)
+
     def test_step_counter_increases(self):
         theta = np.array([1.0])
         state = adam_init([theta])

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,8 @@ from simga.errors import GuardError, InputFormatError, NumericError, ParameterEr
 from simga.graph import build_graph, random_graph, transition
 from simga.model import HyperParams, precompute_similarity
 from simga.simrank import (
+    DUMP_CHUNK,
+    SYMMETRY_BLOCK,
     SimMatrix,
     SparseSim,
     _rows_from_candidates,
@@ -373,14 +376,74 @@ class TestDumpLoad:
         with pytest.raises(InputFormatError):
             load_sparse_sim(io.StringIO("5 3 x fixedpoint\n"))
 
+    @pytest.mark.parametrize("case", ["empty_rows", "no_nodes", "past_one_chunk"])
+    def test_matches_per_line_writer(self, case):
+        # the chunked writer must give the bytes of one f-string line per entry
+        def per_line(s, sink):
+            sink.write(f"{s.n} {s.k} {s.c:.17g} {s.method}\n")
+            for u in range(s.n):
+                cols, scores = s.row(u)
+                for v, score in zip(cols.tolist(), scores.tolist()):
+                    sink.write(f"{u} {v} {score:.17g}\n")
+
+        if case == "empty_rows":
+            s = SparseSim(n=5, k=3, indptr=[0, 2, 2, 3, 3, 6], cols=[0, 4, 2, 0, 3, 4],
+                          scores=[1.0, 1 / 3, 0.6, 1e-300, 0.0, 0.1], method="fixedpoint", c=0.6)
+        elif case == "no_nodes":
+            s = SparseSim(n=0, k=1, indptr=[0], cols=[], scores=[], method="localpush", c=0.8)
+        else:
+            rng = np.random.default_rng(0)
+            n, k = DUMP_CHUNK // 2, 6  # 3 entries per row on average: 1.5 chunks, some rows empty
+            counts = rng.integers(0, k + 1, size=n)
+            cols = np.concatenate([np.sort(rng.choice(n, size=c, replace=False)) for c in counts])
+            s = SparseSim(n=n, k=k, indptr=np.concatenate([[0], np.cumsum(counts)]), cols=cols,
+                          scores=rng.random(cols.size), method="localpush", c=0.6)
+            assert DUMP_CHUNK < cols.size < 2 * DUMP_CHUNK
+        got, want = io.StringIO(), io.StringIO()
+        dump_sparse_sim(s, got)
+        per_line(s, want)
+        assert got.getvalue() == want.getvalue()
+
+
+def past_one_block():
+    """A 600 x 600 identity, checked in two row blocks, and two rows of the last block."""
+    n = 600
+    assert SYMMETRY_BLOCK < n * n < 2 * SYMMETRY_BLOCK
+    return np.eye(n), n - 2, n - 1
+
 
 class TestSimMatrixValidation:
     def test_asymmetric_fixedpoint_rejected(self):
-        values = np.array([[1.0, 0.5], [0.2, 1.0]])
-        with pytest.raises(NumericError):
-            SimMatrix(values=values, method="fixedpoint", c=0.6)
+        # a 2 x 2 matrix, and a pair in the last row block of the blocked check
+        big, u, v = past_one_block()
+        big[u, v], big[v, u] = 0.5, 0.2
+        for values in (np.array([[1.0, 0.5], [0.2, 1.0]]), big):
+            with pytest.raises(NumericError, match="not symmetric within 1e-12"):
+                SimMatrix(values=values, method="fixedpoint", c=0.6)
 
     def test_non_finite_rejected(self):
-        values = np.array([[1.0, np.nan], [np.nan, 1.0]])
-        with pytest.raises(NumericError):
-            SimMatrix(values=values, method="custom", c=0.6)
+        # a 2 x 2 matrix, and NaN, +inf or -inf in the last row block of a larger one
+        cases = [np.array([[1.0, np.nan], [np.nan, 1.0]])]
+        for bad in (np.nan, np.inf, -np.inf):
+            big, u, v = past_one_block()
+            big[u, v] = big[v, u] = bad
+            cases.append(big)
+        for values in cases:
+            with pytest.raises(NumericError, match="non-finite"):
+                SimMatrix(values=values, method="custom", c=0.6)
+
+    def test_checks_build_no_matrix_sized_temporary(self):
+        # the symmetry check works in blocks and finiteness reads min and max,
+        # so building a fixed-point SimMatrix traces a small share of its bytes
+        n = 2000
+        rng = np.random.default_rng(0)
+        values = rng.random((n, n))
+        values = np.minimum(values, values.T)
+        np.fill_diagonal(values, 1.0)
+        tracemalloc.start()
+        try:
+            SimMatrix(values=values, method="fixedpoint", c=0.6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < values.nbytes / 4
