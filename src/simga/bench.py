@@ -15,8 +15,8 @@ import numpy as np
 from .data import DatasetBundle
 from .errors import ParameterError
 from .graph import random_graph
-from .model import HyperParams, _backward, _logits_with_cache, init_params, precompute_similarity
-from .nn import adam_init, adam_step, softmax_cross_entropy
+from .model import HyperParams, _train_step, init_params, precompute_similarity
+from .nn import adam_init
 
 __all__ = ["BenchRow", "BenchResult", "run_bench", "format_tsv"]
 
@@ -71,14 +71,10 @@ def run_bench(
         precompute_seconds = time.perf_counter() - t0
 
         params = init_params(rng, bundle.num_features, n, bundle.num_classes, hp)
-        arrays = params.arrays()
-        state = adam_init(arrays)
+        state = adam_init(params.arrays())
         bundle.graph.adjacency_csr()  # build outside the timed region, as fit would
         t0 = time.perf_counter()
-        z, cache = _logits_with_cache(bundle, sim, params, hp, training=True, rng=rng)
-        loss, grad_z = softmax_cross_entropy(z, bundle.labels, bundle.train_idx)
-        grads = _backward(bundle, sim, params, hp, cache, grad_z)
-        adam_step(arrays, grads, state, hp.lr, hp.weight_decay)
+        _train_step(bundle, sim, params, hp, state, rng)  # the step fit runs each epoch
         epoch_seconds = time.perf_counter() - t0
 
         rows.append(BenchRow(n=n, precompute_seconds=precompute_seconds, epoch_seconds=epoch_seconds))

@@ -42,6 +42,13 @@ EXIT_NUMERIC = 3
 EXIT_GUARD = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its flag errors raised as ParameterError: one line and exit 2, no usage block."""
+
+    def error(self, message: str):
+        raise ParameterError(message)
+
+
 def _add_shared_io(parser: argparse.ArgumentParser, need_bundle: bool) -> None:
     parser.add_argument("--edges", required=True, help="edge list file ('u v' per line)")
     if need_bundle:
@@ -188,7 +195,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="simga",
         description="SimRank global-aggregation toolkit: similarity precomputation, "
         "training, verification, and scaling benchmarks.",
@@ -243,9 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)

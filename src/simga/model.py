@@ -52,6 +52,7 @@ from .simrank import (
     topk_from_push,
     topk_prune,
 )
+from .textio import input_error
 
 __all__ = [
     "HyperParams",
@@ -138,18 +139,18 @@ class HyperParams:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "HyperParams":
-        """Typed values pass through; strings are parsed with the field's type."""
+        """Every value is parsed from its text with the field's type, so 2.0 is no int."""
+        if not isinstance(raw, dict):
+            raise InputFormatError("hyperparameters are not a key-value mapping")
         kwargs = {}
         types = get_type_hints(cls)
         for key, val in raw.items():
             if key not in types:
                 raise InputFormatError(f"unknown hyperparameter {key!r}")
-            if isinstance(val, str) and types[key] is not str:
-                try:
-                    val = types[key](val)  # float accepts "inf" for patience
-                except ValueError:
-                    raise InputFormatError(f"bad value for {key}: {val!r}") from None
-            kwargs[key] = val
+            try:
+                kwargs[key] = types[key](str(val))  # float accepts "inf" for patience
+            except ValueError:
+                raise InputFormatError(f"bad value for {key}: {val!r}") from None
         return cls(**kwargs)
 
     @classmethod
@@ -162,7 +163,7 @@ class HyperParams:
                 if not text or text.startswith("#"):
                     continue
                 if "=" not in text:
-                    raise InputFormatError(f"config line {lineno}: expected key=value")
+                    raise input_error(fh, f"line {lineno}: expected key=value")
                 key, _, val = text.partition("=")
                 raw[key.strip()] = val.strip()
         if overrides:
@@ -336,6 +337,21 @@ def loss_and_grads(
     return loss, grads, pre
 
 
+def _train_step(bundle, s, params, hp, state, rng, kept=None) -> float:
+    """One training step, in place: forward, masked loss, backward, Adam; returns the loss.
+
+    `kept`, an eval pass (logits, cache) at these parameters that dropout would
+    not change, stands in for the training forward. Cache and gradients die here.
+    """
+    z, cache = kept if kept is not None else _logits_with_cache(bundle, s, params, hp, training=True, rng=rng)
+    loss, grad_z = softmax_cross_entropy(z, bundle.labels, bundle.train_idx)
+    if not math.isfinite(loss):
+        raise NumericError("non-finite training loss")
+    grads = _backward(bundle, s, params, hp, cache, grad_z)
+    adam_step(params.arrays(), grads, state, hp.lr, hp.weight_decay)
+    return loss
+
+
 @dataclass
 class TrainReport:
     curve: list[dict]  # per-epoch {"epoch", "loss", "val_acc"}
@@ -387,11 +403,11 @@ def fit(
     `patience` epochs without a new validation best, restores the best
     parameters, and reports test accuracy there.
 
-    An epoch is one training step (forward, loss, backward, Adam) and one
+    An epoch is one `_train_step` (forward, loss, backward, Adam) and one
     eval pass at the updated parameters for the validation accuracy. The next
     epoch's training forward runs at those same parameters, so it reuses the
     eval pass where dropout reaches nothing (dropout acts only between head
-    layers, so at mlp_h_depth=1 or dropout=0) and runs afresh otherwise.
+    layers, so at mlp_h_depth=1 or dropout=0); otherwise it drops the pass first.
     """
     for name, split in (("train", bundle.train_idx), ("val", bundle.val_idx), ("test", bundle.test_idx)):
         if split.size == 0:
@@ -405,8 +421,7 @@ def fit(
     t0 = time.perf_counter()
     rng = np.random.default_rng(hp.seed)
     params = init_params(rng, bundle.num_features, bundle.n, bundle.num_classes, hp)
-    arrays = params.arrays()
-    state: AdamState = adam_init(arrays)
+    state: AdamState = adam_init(params.arrays())
     head_dropout = draws_dropout(params.mlp_h, hp.dropout)
 
     best = params.clone()
@@ -416,20 +431,11 @@ def fit(
     curve: list[dict] = []
     evaluated = None  # (logits, cache) of the last eval pass, at the current parameters
     for epoch in range(1, hp.max_epochs + 1):
+        kept, evaluated = (None if head_dropout else evaluated), None
         try:
-            if evaluated is None or head_dropout:
-                z, cache = _logits_with_cache(bundle, sim, params, hp, training=True, rng=rng)
-            else:
-                z, cache = evaluated
-            evaluated = None
-            loss, grad_z = softmax_cross_entropy(z, bundle.labels, bundle.train_idx)
-            if not math.isfinite(loss):
-                raise DivergenceError(f"non-finite training loss at epoch {epoch}")
-            grads = _backward(bundle, sim, params, hp, cache, grad_z)
-            adam_step(arrays, grads, state, hp.lr, hp.weight_decay)
+            loss = _train_step(bundle, sim, params, hp, state, rng, kept)
+            del kept  # nothing of the step outlives it into the eval pass
             evaluated = _logits_with_cache(bundle, sim, params, hp, training=False, rng=None)
-        except DivergenceError:
-            raise
         except NumericError as exc:
             raise DivergenceError(f"training diverged at epoch {epoch}: {exc}") from exc
         val_acc = _accuracy(evaluated[0], bundle.labels, bundle.val_idx)
@@ -437,7 +443,7 @@ def fit(
         if val_acc > best_val:
             best_val = val_acc
             best_epoch = epoch
-            for dst, src in zip(best.arrays(), arrays):
+            for dst, src in zip(best.arrays(), params.arrays()):
                 np.copyto(dst, src)
             since_best = 0
         else:
@@ -539,7 +545,7 @@ def load_checkpoint(path: str | Path) -> tuple[SimgaParams, HyperParams, SparseS
             raise InputFormatError(f"checkpoint {path}: {key} is not JSON") from None
 
     with data:
-        version = int(array("__format_version__"))
+        version = header("__format_version__")
         if version != CHECKPOINT_FORMAT_VERSION:
             raise InputFormatError(
                 f"checkpoint {path}: format version {version} is not supported "

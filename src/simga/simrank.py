@@ -166,6 +166,8 @@ class SparseSim:
         self.cols = np.asarray(self.cols, dtype=np.int64)
         self.scores = np.asarray(self.scores, dtype=np.float64)
         n, cols, scores = self.n, self.cols, self.scores
+        if n < 0:
+            raise InputFormatError(f"negative node count {n}")
         counts = np.diff(self.indptr)
         if self.indptr.shape != (n + 1,) or self.indptr[0] != 0 or counts.min(initial=0) < 0:
             raise InputFormatError("bad indptr")

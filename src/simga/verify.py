@@ -38,22 +38,9 @@ class SuiteResult:
 
 
 def _paired_tour_meeting(g: Graph, u: int, v: int, length: int) -> float:
-    """Enumerate both walks jointly and sum path-probability products at shared endpoints."""
-    hu = enumerate_tours(g, u, length)
-    total = 0.0
-    for x, pu in hu.items():
-        pv = _tour_prob_to(g, v, x, length)
-        total += pu * pv
-    return total
-
-
-def _tour_prob_to(g: Graph, src: int, dst: int, length: int) -> float:
-    if length == 0:
-        return 1.0 if src == dst else 0.0
-    nbrs = g.neighbor_slice(src)
-    if nbrs.size == 0:
-        return 0.0
-    return sum(_tour_prob_to(g, int(n), dst, length - 1) for n in nbrs) / nbrs.size
+    """Enumerate both walks' tours and sum endpoint-probability products at shared endpoints."""
+    hv = enumerate_tours(g, v, length)
+    return sum(pu * hv.get(x, 0.0) for x, pu in enumerate_tours(g, u, length).items())
 
 
 def walk_suite(seed: int = 0, graphs: int = 10) -> SuiteResult:

@@ -332,7 +332,8 @@ class TestMalformedInputs:
         assert_one_error_line(capsys.readouterr().err)
 
     @pytest.mark.parametrize(
-        "damage", ["not_npz", "no_version", "no_array", "version_1", "version_2", "sim_column_past_n"]
+        "damage", ["not_npz", "no_version", "no_array", "version_1", "version_2", "sim_column_past_n",
+                   "depth_float", "width_list", "sim_negative_n", "version_not_int", "hyperparams_list"]
     )
     def test_bad_checkpoint(self, fixture_dir, capsys, damage):
         d = fixture_dir
@@ -353,6 +354,18 @@ class TestMalformedInputs:
             arrays["__format_version__"] = np.int64(2)
         elif damage == "sim_column_past_n":
             arrays["sim.cols"][-1] = 48
+        elif damage in ("depth_float", "width_list"):  # JSON values of the wrong type
+            hp = json.loads(str(arrays["__hyperparams__"]))
+            hp.update({"mlp_h_depth": 2.0} if damage == "depth_float" else {"width": [1]})
+            arrays["__hyperparams__"] = np.str_(json.dumps(hp))
+        elif damage == "sim_negative_n":
+            provenance = json.loads(str(arrays["__similarity__"]))
+            arrays["__similarity__"] = np.str_(json.dumps({**provenance, "n": -1}))
+            arrays["sim.indptr"] = np.empty(0, dtype=np.int64)
+        elif damage == "version_not_int":
+            arrays["__format_version__"] = np.str_("three")
+        elif damage == "hyperparams_list":
+            arrays["__hyperparams__"] = np.str_("[1, 2]")
         path = d / "bad.npz"
         if damage == "not_npz":
             path.write_bytes(b"not a checkpoint\n")
@@ -392,7 +405,9 @@ class TestMalformedInputs:
         "argv",
         [["bench", "--ladder", "150,300", "--degree", "nan"],
          ["bench", "--ladder", "150,300", "--degree", "inf"],
-         ["bench", "--ladder", "abc"]],
+         ["bench", "--ladder", "abc"],
+         ["bench", "--degree", "abc"],  # argparse's own refusals, also one line
+         ["simrank", "--edges", "edges.txt", "--mode", "foo", "--out", "out"]],
     )
     def test_bad_bench_values(self, capsys, argv):
         assert main(argv) == 2
@@ -460,7 +475,7 @@ class TestMalformedInputs:
         assert_one_error_line(err)
         assert err.startswith("error: out of memory:")
 
-    @pytest.mark.parametrize("flags", [["--lr", "nan"], ["--weight-decay", "inf"]])
+    @pytest.mark.parametrize("flags", [["--lr", "nan"], ["--weight-decay", "inf"], ["--k", "abc"]])
     def test_non_finite_train_flags(self, fixture_dir, capsys, flags):
         assert main(train_args(fixture_dir, fixture_dir / "run", flags)) == 2
         assert_one_error_line(capsys.readouterr().err)

@@ -86,6 +86,16 @@ class TestHyperParams:
         with pytest.raises(InputFormatError):
             HyperParams.from_file(path)
 
+    def test_line_without_equals_names_its_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("alpha=0.25\nwidth 64\n")
+        with pytest.raises(InputFormatError, match=r"run\.cfg: line 2: expected key=value"):
+            HyperParams.from_file(path)
+
+    def test_typed_values_parse_like_their_text(self):
+        typed = {"lr": 0.01, "weight_decay": 5e-4, "k": 12, "patience": float("inf"), "sim_mode": "approx"}
+        assert HyperParams.from_dict(typed) == HyperParams.from_dict({k: str(v) for k, v in typed.items()})
+
 
 class TestEmbed:
     def test_delta_zero_ignores_features(self):
@@ -332,12 +342,11 @@ class TestFit:
             assert np.array_equal(got, want)
         assert report.test_accuracy == evaluate(bundle, sim, params, hp, bundle.test_idx)
 
-    def test_peak_memory_stays_near_the_live_parameters(self):
-        # W_a, its Adam m and v, and best are four n x width arrays that live
-        # through fit; its gradient is formed inside Adam a block at a time,
-        # so the traced peak stays under five of them
+    @staticmethod
+    def _fit_peak_in_arrays(**kw) -> float:
+        """fit's traced peak in n x width float64 arrays, adjacency and S built beforehand."""
         bundle = small_bundle(seed=3, n=2000)
-        hp = quick_hp(width=256, max_epochs=5, patience=np.inf)
+        hp = quick_hp(width=256, max_epochs=5, patience=np.inf, **kw)
         sim = precompute_similarity(bundle.graph, hp)
         bundle.graph.adjacency_csr()
         tracemalloc.start()
@@ -346,7 +355,20 @@ class TestFit:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 * bundle.n * hp.width * 8
+        return peak / (bundle.n * hp.width * 8)
+
+    def test_peak_memory_stays_near_the_live_parameters(self):
+        # W_a, its Adam m and v, and best are four n x width arrays that live
+        # through fit; its gradient is formed inside Adam a block at a time,
+        # so the traced peak stays under five of them
+        assert self._fit_peak_in_arrays() < 5
+
+    def test_peak_memory_at_depth_two_holds_one_step(self):
+        # at depth 2 the forward cache (pre-activation, mask, activation) and
+        # A G0 are n x width; they die with the training step, and the last
+        # eval pass is dropped before a fresh training forward, so no two
+        # epochs' temporaries overlap
+        assert self._fit_peak_in_arrays(mlp_h_depth=2, dropout=0.5) < 12
 
     def test_wall_clock_accounting(self):
         bundle = small_bundle()
