@@ -525,7 +525,7 @@ def save_checkpoint(path: str | Path, params: SimgaParams, hp: HyperParams, sim:
 
 
 def load_checkpoint(path: str | Path) -> tuple[SimgaParams, HyperParams, SparseSim]:
-    """Read a checkpoint of this format version; anything else is an InputFormatError."""
+    """Read a checkpoint of this format version; anything else is an InputFormatError naming the path."""
     try:
         data = np.load(path, allow_pickle=False)
     except (ValueError, EOFError, zipfile.BadZipFile):
@@ -535,36 +535,50 @@ def load_checkpoint(path: str | Path) -> tuple[SimgaParams, HyperParams, SparseS
 
     def array(key: str) -> np.ndarray:
         if key not in data.files:
-            raise InputFormatError(f"checkpoint {path}: no {key} array")
-        return data[key]
+            raise InputFormatError(f"no {key} array")
+        try:
+            return data[key]
+        except ValueError:  # a pickled object array, which allow_pickle=False refuses
+            raise InputFormatError(f"{key} is not a plain array") from None
 
     def header(key: str):
         try:
             return json.loads(str(array(key)))
         except ValueError:
-            raise InputFormatError(f"checkpoint {path}: {key} is not JSON") from None
+            raise InputFormatError(f"{key} is not JSON") from None
 
-    with data:
-        version = header("__format_version__")
-        if version != CHECKPOINT_FORMAT_VERSION:
-            raise InputFormatError(
-                f"checkpoint {path}: format version {version} is not supported "
-                f"(this version reads {CHECKPOINT_FORMAT_VERSION}); retrain to write a new one"
-            )
-        hp = HyperParams.from_dict(header("__hyperparams__"))
-        depth = {"mlp_f": 1, "mlp_a": 1, "mlp_h": hp.mlp_h_depth}
-        blocks = {
-            name: [
-                LinearLayer(weight=array(f"{name}.{i}.weight"), bias=array(f"{name}.{i}.bias"))
-                for i in range(layers)
-            ]
-            for name, layers in depth.items()
-        }
-        provenance = header("__similarity__")  # n, k, c and method of the stored S
-        stored = {key: array(f"sim.{key}") for key in ("indptr", "cols", "scores")}
-        try:
-            n, k, c, method = (provenance[key] for key in ("n", "k", "c", "method"))
-            sim = SparseSim(n=int(n), k=int(k), c=float(c), method=str(method), **stored)
-        except (KeyError, TypeError, ValueError, InputFormatError) as exc:
-            raise InputFormatError(f"checkpoint {path}: bad stored similarity: {exc}") from None
+    try:
+        with data:
+            version = header("__format_version__")
+            if version != CHECKPOINT_FORMAT_VERSION:
+                raise InputFormatError(
+                    f"format version {version} is not supported "
+                    f"(this version reads {CHECKPOINT_FORMAT_VERSION}); retrain to write a new one"
+                )
+            hp = HyperParams.from_dict(header("__hyperparams__"))
+            depth = {"mlp_f": 1, "mlp_a": 1, "mlp_h": hp.mlp_h_depth}
+            blocks = {
+                name: [
+                    LinearLayer(weight=array(f"{name}.{i}.weight"), bias=array(f"{name}.{i}.bias"))
+                    for i in range(layers)
+                ]
+                for name, layers in depth.items()
+            }
+            head = blocks["mlp_h"]
+            hidden = {blocks["mlp_f"][0].weight.shape[1], blocks["mlp_a"][0].weight.shape[1]}
+            hidden |= {layer.weight.shape[0] for layer in head}
+            hidden |= {layer.weight.shape[1] for layer in head[:-1]}
+            if hidden != {hp.width}:
+                raise InputFormatError(
+                    f"width {hp.width} disagrees with the stored weights' hidden sizes {sorted(hidden)}"
+                )
+            provenance = header("__similarity__")  # n, k, c and method of the stored S
+            stored = {key: array(f"sim.{key}") for key in ("indptr", "cols", "scores")}
+            try:
+                n, k, c, method = (provenance[key] for key in ("n", "k", "c", "method"))
+                sim = SparseSim(n=int(n), k=int(k), c=float(c), method=str(method), **stored)
+            except (KeyError, TypeError, ValueError, InputFormatError) as exc:
+                raise InputFormatError(f"bad stored similarity: {exc}") from None
+    except (InputFormatError, ParameterError) as exc:
+        raise InputFormatError(f"checkpoint {path}: {exc}") from None
     return SimgaParams(**blocks), hp, sim

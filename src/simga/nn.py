@@ -214,7 +214,7 @@ def adam_step(
 
     Per element, with g' = g + wd*theta:
     m = b1*m + (1-b1)*g',  v = b2*v + (1-b2)*g'^2,  theta -= lr*(m/bc1) / (sqrt(v/bc2) + eps).
-    Each array is updated in blocks of leading-axis rows holding at most
+    Each array is updated in blocks of leading-axis rows holding about
     ADAM_BLOCK elements, with the state's two scratch rows as temporaries, so
     a step allocates no array and a block's streams stay in cache.
 
@@ -222,8 +222,10 @@ def adam_step(
     each block's rows of g are then formed in scratch from left's rows, so the
     full gradient is never built. Those rows are bit-identical to left @ right's
     wherever BLAS's gemm rounds a row the same in a block as in the whole product
-    (checked for n x 4 @ 4 x 64 and n x 64 @ 64 x 64); a one-row block runs as
-    gemv instead and can differ in the last bit.
+    (checked for n x 4 @ 4 x 64 and n x 64 @ 64 x 64). A one-row product runs as
+    gemv and can differ in the last bit, so no block of a 2-D array holds one row
+    of several: blocks hold two rows at least, and a one-row tail joins the block
+    before it.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ParameterError("params/grads/state length mismatch")
@@ -232,18 +234,21 @@ def adam_step(
     bc1 = 1.0 - b1**state.step
     bc2 = 1.0 - b2**state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        rows = max(1, ADAM_BLOCK // max(1, p[:1].size))
-        if p[:rows].size > state.scratch.shape[1]:  # one row wider than a block
-            state.scratch = np.empty((2, p[:rows].size))
-        for lo in range(0, len(p), rows):
-            pb, mb, vb = (arr[lo : lo + rows] for arr in (p, m, v))
+        rows = max(p.ndim, ADAM_BLOCK // max(1, p[:1].size))  # two rows at least when 2-D
+        bounds = [*range(0, len(p), rows), len(p)]
+        if p.ndim == 2 and len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+            del bounds[-2]  # the one-row tail joins the block before it
+        if p[: rows + 1].size > state.scratch.shape[1]:  # a block may hold one row more
+            state.scratch = np.empty((2, p[: rows + 1].size))
+        for lo, hi in zip(bounds, bounds[1:]):
+            pb, mb, vb = (arr[lo:hi] for arr in (p, m, v))
             a, b = (row[: pb.size].reshape(pb.shape) for row in state.scratch)
             if isinstance(g, tuple):
-                gb = np.matmul(g[0][lo : lo + rows], g[1], out=a)
+                gb = np.matmul(g[0][lo:hi], g[1], out=a)
                 if weight_decay:
                     gb += np.multiply(pb, weight_decay, out=b)
             else:
-                gb = g[lo : lo + rows]
+                gb = g[lo:hi]
                 if weight_decay:
                     gb = np.add(gb, np.multiply(pb, weight_decay, out=a), out=a)
             mb *= b1

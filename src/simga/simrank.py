@@ -69,7 +69,7 @@ __all__ = [
 
 DENSE_LIMIT = 20_000
 SYMMETRY_BLOCK = 2**18  # elements per block of SimMatrix's symmetry check (2 MB of float64)
-DUMP_CHUNK = 2**16  # entries per write in dump_sparse_sim
+DUMP_CHUNK = 2**16  # entries per join and write in dump_sparse_sim; its text tables are per chunk
 
 
 def _check_decay(c: float) -> None:
@@ -398,17 +398,36 @@ def class_score_histogram(
 _DUMP_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("s", np.float64)])
 
 
+# per field of a dump row ("u ", "v ", "score\n"): the format of one value, and
+# whether its text keeps the format's line break once one % call's output is split
+_DUMP_FIELDS = (("%d \n", False), ("%d \n", False), ("%.17g\n", True))
+
+
+def _dump_lines(fields: list[np.ndarray]) -> str:
+    """The rows of one dump chunk from its row ids, column ids and scores."""
+    # dedupe before any text exists (the last chunk's died with its call): np.unique
+    # leaves a few small objects alive in interpreter caches, and allocated among the
+    # texts they would pin the texts' memory in the process after the dump
+    found = [np.unique(field.view(np.int64), return_inverse=True) for field in fields]
+    values: list = [None] * (3 * fields[0].size)
+    for i, (field, (bits, inverse), (fmt, keepends)) in enumerate(zip(fields, found, _DUMP_FIELDS)):
+        text = fmt * bits.size % tuple(bits.view(field.dtype).tolist())
+        values[i::3] = np.array(text.splitlines(keepends), dtype=object)[inverse].tolist()
+    return "".join(values)
+
+
 def dump_sparse_sim(s: SparseSim, sink: IO[str]) -> None:
-    """Text dump: header "n k c method", then "u v score" rows sorted by (u, v)."""
+    """Text dump: header "n k c method", then "u v score" rows sorted by (u, v), scores as %.17g.
+
+    Each DUMP_CHUNK entries take one join and one write. Within a chunk each distinct
+    row id, column id and score (by its bits, so -0.0 prints "-0") is formatted once,
+    by one % call per field, and shared through np.unique's inverse: S's scores repeat.
+    """
     sink.write(f"{s.n} {s.k} {s.c:.17g} {s.method}\n")
     rows = np.repeat(np.arange(s.n), np.diff(s.indptr))
-    for lo in range(0, rows.size, DUMP_CHUNK):  # one %-format and one write per chunk
-        m = min(DUMP_CHUNK, rows.size - lo)
-        values: list = [None] * (3 * m)
-        values[0::3] = rows[lo : lo + m].tolist()
-        values[1::3] = s.cols[lo : lo + m].tolist()
-        values[2::3] = s.scores[lo : lo + m].tolist()
-        sink.write(("%d %d %.17g\n" * m) % tuple(values))
+    for lo in range(0, rows.size, DUMP_CHUNK):
+        hi = min(lo + DUMP_CHUNK, rows.size)
+        sink.write(_dump_lines([rows[lo:hi], s.cols[lo:hi], s.scores[lo:hi]]))
 
 
 def load_sparse_sim(source: IO[str]) -> SparseSim:

@@ -333,7 +333,8 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize(
         "damage", ["not_npz", "no_version", "no_array", "version_1", "version_2", "sim_column_past_n",
-                   "depth_float", "width_list", "sim_negative_n", "version_not_int", "hyperparams_list"]
+                   "depth_float", "width_list", "sim_negative_n", "version_not_int", "hyperparams_list",
+                   "width_mismatch", "bias_2d", "object_array"]
     )
     def test_bad_checkpoint(self, fixture_dir, capsys, damage):
         d = fixture_dir
@@ -366,6 +367,13 @@ class TestMalformedInputs:
             arrays["__format_version__"] = np.str_("three")
         elif damage == "hyperparams_list":
             arrays["__hyperparams__"] = np.str_("[1, 2]")
+        elif damage == "width_mismatch":  # the header's width is not the weights'
+            hp = json.loads(str(arrays["__hyperparams__"]))
+            arrays["__hyperparams__"] = np.str_(json.dumps({**hp, "width": hp["width"] + 1}))
+        elif damage == "bias_2d":
+            arrays["mlp_h.0.bias"] = arrays["mlp_h.0.bias"][None, :]
+        elif damage == "object_array":  # saved pickled, which the loader refuses to unpickle
+            arrays["mlp_f.0.weight"] = np.array([[1.0, "x"]], dtype=object)
         path = d / "bad.npz"
         if damage == "not_npz":
             path.write_bytes(b"not a checkpoint\n")
@@ -376,6 +384,7 @@ class TestMalformedInputs:
         assert code == 2
         err = capsys.readouterr().err
         assert_one_error_line(err)
+        assert err.startswith(f"error: checkpoint {path}: ")
         if damage in ("version_1", "version_2"):
             assert f"format version {damage[-1]}" in err
         if damage == "sim_column_past_n":

@@ -195,7 +195,7 @@ class TestAdam:
         # step; the run must equal the one given left @ right bit for bit
         rng = np.random.default_rng(1)
         rows = ADAM_BLOCK // 64
-        for n in (rows - 3, 2 * rows + 17, 3 * rows + 2):
+        for n in (rows - 3, rows + 1, 2 * rows + 1, 2 * rows + 17, 3 * rows + 2):  # k * rows + 1: a one-row tail
             params = [rng.standard_normal((n, 64)), rng.standard_normal(64)]
             expect = [p.copy() for p in params]
             state, ref_state = adam_init(params), adam_init(expect)

@@ -1,12 +1,14 @@
 import io
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simga import simrank
 from simga.errors import GuardError, InputFormatError, NumericError, ParameterError
 from simga.graph import build_graph, random_graph, transition
 from simga.model import HyperParams, precompute_similarity
@@ -376,33 +378,78 @@ class TestDumpLoad:
         with pytest.raises(InputFormatError):
             load_sparse_sim(io.StringIO("5 3 x fixedpoint\n"))
 
-    @pytest.mark.parametrize("case", ["empty_rows", "no_nodes", "past_one_chunk"])
+    def test_signed_zero_survives(self):
+        s = SparseSim(n=2, k=2, indptr=[0, 2, 3], cols=[0, 1, 1], scores=[-0.0, 0.0, -0.0],
+                      method="custom", c=0.6)
+        buf = io.StringIO()
+        dump_sparse_sim(s, buf)
+        assert buf.getvalue().splitlines()[1:] == ["0 0 -0", "0 1 0", "1 1 -0"]
+        buf.seek(0)
+        assert np.signbit(load_sparse_sim(buf).scores).tolist() == [True, False, True]
+
+    @pytest.mark.parametrize("case", ["empty_rows", "no_nodes", "past_one_chunk", "repeats_across_chunks",
+                                      "row_across_chunks", "signed_zeros", "tiny_scores"])
     def test_matches_per_line_writer(self, case):
         # the chunked writer must give the bytes of one f-string line per entry
-        def per_line(s, sink):
-            sink.write(f"{s.n} {s.k} {s.c:.17g} {s.method}\n")
-            for u in range(s.n):
-                cols, scores = s.row(u)
-                for v, score in zip(cols.tolist(), scores.tolist()):
-                    sink.write(f"{u} {v} {score:.17g}\n")
-
         if case == "empty_rows":
             s = SparseSim(n=5, k=3, indptr=[0, 2, 2, 3, 3, 6], cols=[0, 4, 2, 0, 3, 4],
                           scores=[1.0, 1 / 3, 0.6, 1e-300, 0.0, 0.1], method="fixedpoint", c=0.6)
         elif case == "no_nodes":
             s = SparseSim(n=0, k=1, indptr=[0], cols=[], scores=[], method="localpush", c=0.8)
+        elif case == "signed_zeros":  # -0.0 and 0.0 are formatted apart: "-0" and "0"
+            s = SparseSim(n=3, k=3, indptr=[0, 3, 4, 6], cols=[0, 1, 2, 1, 0, 2],
+                          scores=[0.0, -0.0, 0.0, -0.0, 1.0, 0.0], method="custom", c=0.6)
+        elif case == "tiny_scores":  # the least subnormal and a tiny normal
+            s = SparseSim(n=2, k=2, indptr=[0, 2, 4], cols=[0, 1, 0, 1],
+                          scores=[5e-324, 1e-300, 1e-300, 5e-324], method="custom", c=0.6)
+        elif case == "row_across_chunks":  # rows of 3 entries: the chunk boundary splits a row
+            n = DUMP_CHUNK // 3 + 2
+            rng = np.random.default_rng(2)
+            s = SparseSim(n=n, k=3, indptr=np.arange(n + 1) * 3, cols=np.tile([0, 1, 2], n),
+                          scores=rng.random(3 * n), method="localpush", c=0.6)
+            assert DUMP_CHUNK % 3 and DUMP_CHUNK < s.cols.size
         else:
             rng = np.random.default_rng(0)
             n, k = DUMP_CHUNK // 2, 6  # 3 entries per row on average: 1.5 chunks, some rows empty
             counts = rng.integers(0, k + 1, size=n)
             cols = np.concatenate([np.sort(rng.choice(n, size=c, replace=False)) for c in counts])
+            scores = rng.random(cols.size)
+            if case == "repeats_across_chunks":  # four scores, each on both sides of the boundary
+                scores = rng.choice([1.0, 0.6, 1 / 3, 0.1], size=cols.size)
             s = SparseSim(n=n, k=k, indptr=np.concatenate([[0], np.cumsum(counts)]), cols=cols,
-                          scores=rng.random(cols.size), method="localpush", c=0.6)
+                          scores=scores, method="localpush", c=0.6)
             assert DUMP_CHUNK < cols.size < 2 * DUMP_CHUNK
         got, want = io.StringIO(), io.StringIO()
         dump_sparse_sim(s, got)
-        per_line(s, want)
+        dump_per_line(s, want)
         assert got.getvalue() == want.getvalue()
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_repeated_scores_match_per_line_writer(self, data):
+        # scores from a small pool, so repeats dominate, under chunks of 1 to 8 entries
+        n = data.draw(st.integers(1, 8))
+        kept = data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+        pool = data.draw(st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.1, 1 / 3, 0.6, 1.0]),
+                                  min_size=1, max_size=4))
+        scores = data.draw(st.lists(st.sampled_from(pool), min_size=sum(kept), max_size=sum(kept)))
+        mask = np.array(kept).reshape(n, n)
+        s = SparseSim(n=n, k=n, indptr=np.concatenate([[0], np.cumsum(mask.sum(axis=1))]),
+                      cols=np.nonzero(mask)[1], scores=scores, method="custom", c=0.6)
+        got, want = io.StringIO(), io.StringIO()
+        with mock.patch.object(simrank, "DUMP_CHUNK", data.draw(st.integers(1, 8))):
+            dump_sparse_sim(s, got)
+        dump_per_line(s, want)
+        assert got.getvalue() == want.getvalue()
+
+
+def dump_per_line(s, sink):
+    """The dump written one f-string line per entry, the reference for the chunked writer."""
+    sink.write(f"{s.n} {s.k} {s.c:.17g} {s.method}\n")
+    for u in range(s.n):
+        cols, scores = s.row(u)
+        for v, score in zip(cols.tolist(), scores.tolist()):
+            sink.write(f"{u} {v} {score:.17g}\n")
 
 
 def past_one_block():
