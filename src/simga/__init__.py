@@ -4,7 +4,7 @@ Subpackage map:
   graph    CSR graph container, edge-list loader, homophily, transition matrix P as CSR
   data     dataset bundles, text-format loaders, synthetic generators
   textio   read_table: every text reader's numpy fast pass and the one line loop that words errors
-  simrank  exact / power-series / local-push SimRank, top-k pruning, aggregation, dump/load
+  simrank  exact SimRank, its power series and local push, top-k pruning, aggregation, dump/load
   walks    random-walk oracles (tour enumeration, meeting probabilities, first-meeting walk series)
   nn       dense MLP stack with hand-derived gradients, Adam, gradient checking
   model    the classifier, precompute_similarity (the one route to S), training loop, diagnostics
@@ -47,7 +47,7 @@ from .model import (
     save_checkpoint,
 )
 from .simrank import (
-    RawPushMatrix,
+    PushMatrix,
     SimMatrix,
     SparseSim,
     class_score_histogram,
@@ -61,7 +61,6 @@ from .simrank import (
     topk_prune,
 )
 from .walks import (
-    WalkDistribution,
     enumerate_tours,
     meeting_probability,
     simrank_series,

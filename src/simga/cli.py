@@ -34,6 +34,7 @@ from .model import (
     save_checkpoint,
 )
 from .simrank import class_score_histogram, dump_sparse_sim, load_sparse_sim
+from .textio import input_error
 from .verify import run_all
 
 EXIT_OK = 0
@@ -86,12 +87,19 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
+def _node_labels(path: str, n: int) -> np.ndarray:
+    """The labels file's labels, refused unless it holds one per node."""
+    with open(path) as fh:
+        labels = load_labels(fh)
+        if labels.size != n:
+            raise input_error(fh, f"holds {labels.size} labels, the graph has {n} nodes")
+    return labels
+
+
 def cmd_homophily(args: argparse.Namespace) -> int:
     with open(args.edges) as fh:
         g = load_edge_list(fh)
-    with open(args.labels) as fh:
-        labels = load_labels(fh)
-    print(f"{node_homophily(g, labels):.4f}")
+    print(f"{node_homophily(g, _node_labels(args.labels, g.n)):.4f}")
     return EXIT_OK
 
 
@@ -99,6 +107,7 @@ def cmd_simrank(args: argparse.Namespace) -> int:
     hp = _hyperparams(args)
     with open(args.edges) as fh:
         g = load_edge_list(fh)
+    labels = _node_labels(args.labels, g.n) if args.labels else None
     t0 = time.perf_counter()
     sim = precompute_similarity(g, hp)
     seconds = time.perf_counter() - t0
@@ -108,10 +117,8 @@ def cmd_simrank(args: argparse.Namespace) -> int:
         dump_sparse_sim(sim, fh)
     print(f"precompute_seconds\t{seconds:.6f}")
     print(f"wrote\t{out}")
-    if args.labels:
+    if labels is not None:
         # intra/inter-class score distribution of the retained S
-        with open(args.labels) as fh:
-            labels = load_labels(fh)
         hist = class_score_histogram(sim, labels)
         hist_path = out_dir / "score_histogram.tsv"
         with open(hist_path, "w") as fh:
@@ -133,6 +140,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.sim:
         with open(args.sim) as fh:
             sim = load_sparse_sim(fh)
+            if sim.n != bundle.n:
+                raise input_error(fh, f"similarity dump of {sim.n} nodes, the graph has {bundle.n}")
     params, report = fit(bundle, hp, sim=sim)
     out = _out_dir(args)
     with open(out / "report.json", "w") as fh:

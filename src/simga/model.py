@@ -211,8 +211,8 @@ def precompute_similarity(g: Graph, hp: HyperParams) -> SparseSim:
 
     exact  -> the fixed point run for ceil(log_c eps) iterations (absolute
               accuracy eps), top-k of each row.
-    approx -> the push at eps, (1-c)-rescaled with the diagonal pinned to 1,
-              top-k of each row; never dense, so it works past DENSE_LIMIT.
+    approx -> the push's estimate of the power series at eps, diagonal pinned
+              to 1, top-k of each row; never dense, so it works past DENSE_LIMIT.
     """
     if hp.sim_mode == "exact":
         iterations = max(1, math.ceil(math.log(hp.eps) / math.log(hp.c)))
@@ -263,8 +263,6 @@ def aggregate(s: SparseSim, h: np.ndarray, alpha: float) -> np.ndarray:
     """Global mix Z = (1 - alpha) * S @ H + alpha * H; alpha weights the skip term."""
     if not (0.0 <= alpha <= 1.0):
         raise ParameterError("alpha must lie in [0, 1]")
-    if alpha == 1.0:
-        return alpha * h
     return (1.0 - alpha) * sparse_aggregate(s, h) + alpha * h
 
 
@@ -296,10 +294,7 @@ def _backward(bundle, s, params, hp, cache, grad_z) -> list[np.ndarray | tuple[n
     factor pair (A g0, (1-delta) W_h0^T): adam_step forms it a block at a
     time, and loss_and_grads multiplies it out.
     """
-    if hp.alpha == 1.0:
-        grad_h = hp.alpha * grad_z
-    else:
-        grad_h = (1.0 - hp.alpha) * (s.to_csr().T @ grad_z) + hp.alpha * grad_z
+    grad_h = (1.0 - hp.alpha) * (s.to_csr().T @ grad_z) + hp.alpha * grad_z
     g0, grads_h = mlp_backward_to_pre(params.mlp_h, cache["cache_h"], grad_h)
     lf, la, l0 = params.mlp_f[0], params.mlp_a[0], params.mlp_h[0]
     d = hp.delta

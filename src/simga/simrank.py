@@ -1,11 +1,11 @@
-"""All-pairs SimRank: exact fixed point, walk power series, and the local-push approximation.
+"""All-pairs SimRank: exact fixed point, and its linearisation as a power series or a local push.
 
-Three related objects live here and are deliberately kept distinct:
+Two objects live here and are deliberately kept distinct:
 
   fixed point   S = c * P S P^T off-diagonal with diag(S) = 1; ground truth.
-  power series  sum_{k>=0} c^k P^k ((1-c) I) (P^T)^k; the linear-system object.
-  raw push      sum_{k>=0} c^k P^k (P^T)^k accumulated by the local push;
-                (1-c) * raw equals the power series in the limit.
+  power series  sum_{k>=0} c^k P^k ((1-c) I) (P^T)^k; the linearised object.
+                simrank_power_series truncates it and the local push
+                approximates it.
 
 The fixed point starts from S = I as CSR and every step is a pair of sparse
 products, so a step costs work in the entries S holds, not in n^2: on the
@@ -13,7 +13,7 @@ benchmark's ring graph (n = 2,992) S ends with 2.8 % of its entries nonzero.
 On a graph where S fills, a sparse step costs about twice a dense one. The
 fixed point returns a dense n x n SimMatrix.
 
-The push is level-synchronous (Jacobi order): it keeps an estimate E and a
+The push is level-synchronous (Jacobi order): it keeps a walk-mass sum E and a
 residual R, both sparse n x n, from E = 0 and R = I. Each round commits every
 residual above the threshold (1-c)*eps at once,
 
@@ -24,9 +24,10 @@ which costs two sparse products. After every round
   E + sum_k c^k P^k R (P^T)^k = sum_k c^k P^k (P^T)^k,
 
 and the push exits once max R <= (1-c)*eps. P is row-substochastic, so the
-uncommitted tail sum_k c^k P^k R (P^T)^k is at most max R / (1-c) per entry,
-and (1-c) * E falls short of the power series by at most max R, below eps.
-RawPushMatrix.pops counts the entries committed over all rounds (an entry
+uncommitted tail sum_k c^k P^k R (P^T)^k is at most max R / (1-c) per entry.
+The push returns (1-c) * E as PushMatrix.estimate, which therefore falls short
+of the power series by at most max R, below eps; the residual stays in walk-mass
+units. PushMatrix.pops counts the entries committed over all rounds (an entry
 committed in two rounds counts twice). E is symmetric only up to rounding in
 the sparse products: at eps 0.1 the largest |E - E^T| was 0 on a 4000-node
 ring graph and 6.9e-18 on a 40000-node uniform graph of degree 8.
@@ -54,7 +55,7 @@ __all__ = [
     "DENSE_LIMIT",
     "SimMatrix",
     "PairMatrix",
-    "RawPushMatrix",
+    "PushMatrix",
     "SparseSim",
     "simrank_fixedpoint",
     "simrank_power_series",
@@ -130,11 +131,12 @@ class PairMatrix(sp.csr_matrix):
 
 
 @dataclass
-class RawPushMatrix:
-    """Uncorrected push accumulation plus the terminal residual, both sparse n x n.
+class PushMatrix:
+    """The push's estimate of the power series plus its terminal residual, both sparse n x n.
 
-    estimate holds the raw series mass; residual holds whatever never crossed
-    the (1-c)*eps threshold. pops counts committed entries over all rounds.
+    estimate is (1-c) times the committed walk mass; residual holds the walk
+    mass that never crossed the (1-c)*eps threshold. pops counts committed
+    entries over all rounds.
     """
 
     n: int
@@ -244,12 +246,12 @@ def simrank_power_series(g: Graph, c: float, terms: int) -> SimMatrix:
     return SimMatrix(values=acc, method="power_series", c=c, iterations=terms)
 
 
-def simrank_localpush(g: Graph, c: float, eps: float) -> RawPushMatrix:
+def simrank_localpush(g: Graph, c: float, eps: float) -> PushMatrix:
     """Level-synchronous push: each round commits every residual above (1-c)*eps at once.
 
     Starts from R = I, E = 0. A round takes sel = R on its entries above the
     threshold, adds sel to E and replaces R by R - sel + c * P sel P^T; it
-    stops once max R <= (1-c)*eps.
+    stops once max R <= (1-c)*eps and returns (1-c) * E as the estimate.
     """
     _check_decay(c)
     _check_eps(eps)
@@ -279,7 +281,8 @@ def simrank_localpush(g: Graph, c: float, eps: float) -> RawPushMatrix:
     est = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     )
-    return RawPushMatrix(
+    est.data *= 1.0 - c  # walk mass -> the power series
+    return PushMatrix(
         n=n, c=c, eps=eps, estimate=PairMatrix(est), residual=PairMatrix(res), pops=pops
     )
 
@@ -313,23 +316,23 @@ def topk_prune(s: SimMatrix, k: int) -> SparseSim:
     )
 
 
-def topk_from_push(raw: RawPushMatrix, k: int) -> SparseSim:
-    """Sparse route: (1-c)-rescale the push sum, pin the diagonal, prune per row.
+def topk_from_push(push: PushMatrix, k: int) -> SparseSim:
+    """Sparse route: pin the push estimate's diagonal to 1, prune per row.
 
     Never materializes a dense matrix, so it works past DENSE_LIMIT.
     """
     if k < 1:
         raise ParameterError("k must be >= 1")
-    n = raw.n
-    est = raw.estimate.tocoo()
+    n = push.n
+    est = push.estimate.tocoo()
     rows, cols, vals = est.row, est.col, est.data
     off = rows != cols
     rows = np.concatenate([rows[off], np.arange(n)])
     cols = np.concatenate([cols[off], np.arange(n)])
-    vals = np.concatenate([(1.0 - raw.c) * vals[off], np.ones(n)])
+    vals = np.concatenate([vals[off], np.ones(n)])
     indptr, cols_out, vals_out = _rows_from_candidates(n, k, rows, cols, vals)
     return SparseSim(
-        n=n, k=k, indptr=indptr, cols=cols_out, scores=vals_out, method="localpush", c=raw.c
+        n=n, k=k, indptr=indptr, cols=cols_out, scores=vals_out, method="localpush", c=push.c
     )
 
 
@@ -451,4 +454,7 @@ def load_sparse_sim(source: IO[str]) -> SparseSim:
         raise input_error(source, "similarity dump: rows out of order")
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
     cols, scores = np.ascontiguousarray(body["v"]), np.ascontiguousarray(body["s"])
-    return SparseSim(n=n, k=k, indptr=indptr, cols=cols, scores=scores, method=header[3], c=c)
+    try:
+        return SparseSim(n=n, k=k, indptr=indptr, cols=cols, scores=scores, method=header[3], c=c)
+    except InputFormatError as exc:
+        raise input_error(source, f"similarity dump: {exc}") from None

@@ -2,9 +2,12 @@
 
 walk_distribution and enumerate_tours compute the same object two independent
 ways (matrix application vs. explicit tour recursion); their agreement is the
-backbone of the verification suite. meeting_probability is the inner product
-of two walk distributions of equal length, summed over unconstrained landing
-nodes (walks that already coincided keep contributing at later lengths).
+backbone of the verification suite. walk_distribution returns row u of P^l as
+a plain probability vector: mass that reaches an isolated node before the last
+step is absorbed, so its total can fall below 1. meeting_probability is the
+inner product of two walk distributions of equal length, summed over
+unconstrained landing nodes (walks that already coincided keep contributing at
+later lengths).
 
 simrank_series is SimRank read as a walk series, s(u, v) = E[c^tau] with tau
 the step at which two simultaneous walks from u and v first meet (Jeh & Widom,
@@ -12,13 +15,12 @@ KDD 2002). G_l(u, v), the probability that they first meet at step l, obeys
 G_1 = P P^T and G_l = P offdiag(G_{l-1}) P^T; the series sums c^l G_l. The
 first-meeting events are disjoint, so the tail beyond `terms` is at most
 c^(terms+1) <= c^(terms+1) / (1-c). Summing the unconstrained meeting
-probabilities instead gives simrank_power_series / (1-c) off the diagonal: the
-linearised object that local push approximates, not SimRank.
+probabilities instead gives simrank_power_series / (1-c) off the diagonal:
+the linearised object, which local push approximates (simrank_localpush
+returns the power series itself), not SimRank.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,7 +30,6 @@ from .graph import Graph, transition
 from .simrank import SimMatrix, _check_decay, _dense_guard
 
 __all__ = [
-    "WalkDistribution",
     "walk_distribution",
     "enumerate_tours",
     "meeting_probability",
@@ -39,27 +40,7 @@ ENUM_MAX_NODES = 12
 ENUM_MAX_LENGTH = 6
 
 
-@dataclass
-class WalkDistribution:
-    """Distribution of a length-l uniform random walk from a source node.
-
-    probs is row `source` of P^l. Mass that reaches an isolated node before
-    the last step is absorbed, so the total can fall below 1.
-    """
-
-    source: int
-    length: int
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-        if self.probs.min(initial=0.0) < -1e-15:
-            raise ParameterError("walk distribution has negative mass")
-        if self.probs.sum() > 1.0 + 1e-9:
-            raise ParameterError("walk distribution mass exceeds 1")
-
-
-def walk_distribution(p: sp.csr_matrix, u: int, length: int) -> WalkDistribution:
+def walk_distribution(p: sp.csr_matrix, u: int, length: int) -> np.ndarray:
     """e_u P^length via repeated sparse application; p is transition(g)."""
     if length < 0:
         raise ParameterError("length must be >= 0")
@@ -70,7 +51,7 @@ def walk_distribution(p: sp.csr_matrix, u: int, length: int) -> WalkDistribution
     x[u] = 1.0
     for _ in range(length):
         x = x @ p
-    return WalkDistribution(source=u, length=length, probs=x)
+    return x
 
 
 def enumerate_tours(g: Graph, u: int, length: int) -> dict[int, float]:
@@ -108,9 +89,7 @@ def meeting_probability(p: sp.csr_matrix, u: int, v: int, length: int) -> float:
     """Probability two independent length-l walks from u and v land on a common node."""
     if length < 1:
         raise ParameterError("length must be >= 1")
-    hu = walk_distribution(p, u, length).probs
-    hv = walk_distribution(p, v, length).probs
-    return float(hu @ hv)
+    return float(walk_distribution(p, u, length) @ walk_distribution(p, v, length))
 
 
 def simrank_series(g: Graph, c: float, terms: int) -> SimMatrix:

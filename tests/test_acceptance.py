@@ -66,7 +66,7 @@ def test_criterion_1_walk_tour_equivalence():
         p = transition(g)
         for u in range(n):
             for length in range(7):
-                dist = walk_distribution(p, u, length).probs
+                dist = walk_distribution(p, u, length)
                 dense = np.zeros(n)
                 for node, prob in enumerate_tours(g, u, length).items():
                     dense[node] = prob
@@ -109,7 +109,7 @@ def test_criterion_2_series_vs_fixed_point():
 
 
 def test_criterion_3_localpush_correctness():
-    """(1-c) * push sum within eps of the truncated power series; residual guard holds."""
+    """The push estimate within eps of the truncated power series; residual guard holds."""
     t0 = time.perf_counter()
     graphs = fidelity_graphs()
     worst_ratio = 0.0
@@ -120,7 +120,7 @@ def test_criterion_3_localpush_correctness():
             if raw.max_residual() > (1 - C) * eps:
                 guard_ok = False
             series = simrank_power_series(g, C, 50).values
-            gap = float(np.abs((1 - C) * raw.estimate.toarray() - series).max())
+            gap = float(np.abs(raw.estimate.toarray() - series).max())
             worst_ratio = max(worst_ratio, gap / eps)
     elapsed = time.perf_counter() - t0
     passed = worst_ratio <= 1.0 and guard_ok and elapsed < 60

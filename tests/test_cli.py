@@ -72,6 +72,15 @@ class TestHomophily:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_wrong_label_count_names_the_labels_file(self, tmp_path, capsys):
+        (tmp_path / "e.txt").write_text("0 1\n1 2\n0 2\n")
+        (tmp_path / "l.txt").write_text("0\n0\n")
+        code = main(["homophily", "--edges", str(tmp_path / "e.txt"), "--labels", str(tmp_path / "l.txt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert str(tmp_path / "l.txt") in err
+
 
 class TestSimrank:
     def test_star_exact_dump_contains_leaf_pair(self, tmp_path, capsys):
@@ -259,6 +268,17 @@ class TestScoreHistogramDiagnostic:
         inter = sum(int(l.split("\t")[3]) for l in lines[1:])
         assert intra > 0 and inter == 0  # disconnected same-label cliques
 
+    def test_wrong_label_count_refused_before_the_precompute(self, tmp_path, capsys):
+        (tmp_path / "e.txt").write_text("0 1\n1 2\n0 2\n")
+        (tmp_path / "l.txt").write_text("0\n0\n")
+        code = main(["simrank", "--edges", str(tmp_path / "e.txt"), "--labels", str(tmp_path / "l.txt"),
+                     "--mode", "exact", "--eps", "0.01", "--k", "3", "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert str(tmp_path / "l.txt") in err
+        assert not (tmp_path / "out" / "similarity.txt").exists()
+
     def test_approx_histogram_past_the_dense_limit(self, tmp_path, capsys):
         # 6667 disjoint triangles (n = 20,001), each node labelled by its corner
         tri = [f"{3 * t} {3 * t + 1}\n{3 * t + 1} {3 * t + 2}\n{3 * t} {3 * t + 2}\n" for t in range(6667)]
@@ -297,13 +317,15 @@ def assert_one_error_line(err):
 
 
 DUMP_MUTATIONS = ["negative_column", "column_past_n", "nan_score", "inf_score", "duplicate_pair",
-                  "descending_columns", "negative_row", "row_past_n"]
+                  "descending_columns", "negative_row", "row_past_n", "another_n"]
 
 
-def _mutate_dump(lines, n, mutation):
-    """A dump's body lines (header excluded) with one named edit that must be refused."""
+def _mutate_dump(header, lines, n, mutation):
+    """A dump's lines, header first, with one named edit that must be refused."""
+    if mutation == "another_n":  # a well-formed dump of n + 1 nodes
+        return [" ".join([str(n + 1), *header.split()[1:]]), *lines]
     first, last = lines[0].split(), lines[-1].split()
-    return {
+    return [header] + {
         "negative_column": [f"{first[0]} -1 {first[2]}", *lines[1:]],
         "column_past_n": [*lines[:-1], f"{last[0]} {n + 51} {last[2]}"],
         "nan_score": [f"{first[0]} {first[1]} nan", *lines[1:]],
@@ -324,12 +346,14 @@ class TestMalformedInputs:
         main(["simrank", "--edges", str(d / "edges.txt"), "--mode", "exact",
               "--eps", "0.1", "--k", "16", "--out", str(d / "sim")])
         header, *body = (d / "sim" / "similarity.txt").read_text().splitlines()
-        bad = _mutate_dump(body, 48, mutation)
-        (d / "bad.txt").write_text("\n".join([header, *bad]) + "\n")
+        bad = _mutate_dump(header, body, 48, mutation)
+        (d / "bad.txt").write_text("\n".join(bad) + "\n")
         capsys.readouterr()
         code = main(train_args(d, d / "run", ["--sim", str(d / "bad.txt")]))
         assert code == 2
-        assert_one_error_line(capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert str(d / "bad.txt") in err
 
     @pytest.mark.parametrize(
         "damage", ["not_npz", "no_version", "no_array", "version_1", "version_2", "sim_column_past_n",

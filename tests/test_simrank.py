@@ -141,7 +141,7 @@ class TestLocalPush:
     def test_single_isolated_node(self):
         g = build_graph(1, [])
         raw = simrank_localpush(g, 0.6, 0.1)
-        assert raw.estimate.nnz == 1 and raw.estimate[0, 0] == 1.0
+        assert raw.estimate.nnz == 1 and raw.estimate[0, 0] == 1.0 - 0.6
         assert 0 in raw.estimate  # flattened pair key u * n + v
         assert raw.residual.nnz == 0
 
@@ -161,16 +161,17 @@ class TestLocalPush:
         g = random_graph(40 + 7 * seed, avg_degree=6, seed=seed, min_degree=2)
         raw = simrank_localpush(g, 0.6, eps)
         series = simrank_power_series(g, 0.6, 50).values
-        assert np.abs(0.4 * raw.estimate.toarray() - series).max() <= eps
+        assert np.abs(raw.estimate.toarray() - series).max() <= eps
 
     def test_estimate_symmetric_within_pop_threshold(self):
         # rounding in the sparse products can leave one of a mirrored pair just
         # under the push threshold (1-c)*eps and the other just over it, so
-        # mirrored entries differ by at most that threshold
+        # mirrored walk masses differ by at most that threshold, and the
+        # estimate, (1-c) times the walk mass, by (1-c) times it
         eps, c = 0.05, 0.6
         g = random_graph(50, avg_degree=6, seed=9)
         est = simrank_localpush(g, c, eps).estimate.toarray()
-        assert np.abs(est - est.T).max() <= (1 - c) * eps + 1e-12
+        assert np.abs(est - est.T).max() <= (1 - c) * ((1 - c) * eps + 1e-12)
 
     def test_node_relabelling_agrees_on_the_bound(self):
         eps = 0.05
@@ -182,12 +183,13 @@ class TestLocalPush:
         a = simrank_localpush(g, 0.6, eps)
         b = simrank_localpush(h, 0.6, eps)
         back = np.ix_(perm, perm)
-        assert np.abs(0.4 * a.estimate.toarray() - series).max() <= eps
-        assert np.abs(0.4 * b.estimate.toarray()[back] - series).max() <= eps
-        # committed mass is order-dependent only through sub-threshold residuals
+        assert np.abs(a.estimate.toarray() - series).max() <= eps
+        assert np.abs(b.estimate.toarray()[back] - series).max() <= eps
+        # committed mass is order-dependent only through sub-threshold residuals;
+        # the estimate is (1-c) times the committed mass
         mass_gap = abs(a.estimate.sum() - b.estimate.sum())
         support = (a.residual.toarray() != 0) | (b.residual.toarray()[back] != 0)
-        assert mass_gap <= support.sum() * (1 - 0.6) * eps
+        assert mass_gap <= (1 - 0.6) * support.sum() * (1 - 0.6) * eps
 
 
 def production(g, c, eps, mode):
@@ -283,13 +285,25 @@ class TestTopkPrune:
     def test_sparse_route_matches_dense_route(self):
         g = random_graph(40, avg_degree=6, seed=11)
         raw = simrank_localpush(g, 0.6, 0.02)
-        values = (1 - 0.6) * raw.estimate.toarray()  # the (1-c)-rescaled push, unit diagonal
+        values = raw.estimate.toarray()  # the push estimate with a unit diagonal
         np.fill_diagonal(values, 1.0)
         dense = SimMatrix(values=values, method="localpush", c=0.6)
         for k in (1, 3, 10, 40):
             a = topk_from_push(raw, k).densify()
             b = topk_prune(dense, k).densify()
             assert np.array_equal(a, b)
+
+    def test_push_topk_keeps_the_estimate_bit_for_bit(self):
+        # topk_from_push only pins the diagonal and prunes: with k = n every
+        # off-diagonal score is the push estimate's entry, unscaled
+        g = random_graph(60, avg_degree=6, seed=12)
+        raw = simrank_localpush(g, 0.6, 0.02)
+        s = topk_from_push(raw, g.n).to_csr()
+        est = raw.estimate
+        off = ~np.eye(g.n, dtype=bool)
+        assert np.array_equal(s.toarray()[off], est.toarray()[off])
+        assert np.array_equal(s.diagonal(), np.ones(g.n))
+        assert s.nnz - g.n == est.nnz - np.count_nonzero(est.diagonal())
 
 
 class TestSparseAggregate:
