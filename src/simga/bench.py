@@ -20,6 +20,8 @@ from .nn import adam_init
 
 __all__ = ["BenchRow", "BenchResult", "run_bench", "format_tsv"]
 
+FEATURES = 32  # Gaussian feature columns of each ladder graph
+
 
 @dataclass
 class BenchRow:
@@ -38,9 +40,9 @@ class BenchResult:
     exponent: float
 
 
-def _synthetic_bundle(rng: np.random.Generator, n: int, degree: float, feature_dim: int = 32):
+def _synthetic_bundle(rng: np.random.Generator, n: int, degree: float):
     g = random_graph(n, avg_degree=degree, seed=int(rng.integers(0, 2**31)))
-    features = rng.normal(size=(n, feature_dim))
+    features = rng.normal(size=(n, FEATURES))
     labels = rng.integers(0, 2, size=n)
     idx = rng.permutation(n)
     return DatasetBundle(g, features, labels, 2, idx[: n // 2], idx[n // 2 : 3 * n // 4], idx[3 * n // 4 :])
@@ -54,8 +56,8 @@ def run_bench(
     c: float = 0.6,
     seed: int = 0,
 ) -> BenchResult:
-    if len(ladder) < 2:
-        raise ParameterError("ladder needs at least two sizes")
+    if len(set(ladder)) < 2:  # the exponent is a line fitted through the sizes
+        raise ParameterError("ladder needs at least two distinct sizes")
     if any(n < 8 for n in ladder):
         raise ParameterError("ladder sizes must be >= 8")
     if seed < 0:

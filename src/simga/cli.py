@@ -20,7 +20,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .bench import format_tsv, run_bench
-from .data import load_bundle, load_labels
+from .data import load_bundle, load_labels, load_per_node
 from .errors import GuardError, InputFormatError, NumericError, ParameterError
 from .graph import load_edge_list, node_homophily
 from .model import (
@@ -87,19 +87,10 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _node_labels(path: str, n: int) -> np.ndarray:
-    """The labels file's labels, refused unless it holds one per node."""
-    with open(path) as fh:
-        labels = load_labels(fh)
-        if labels.size != n:
-            raise input_error(fh, f"holds {labels.size} labels, the graph has {n} nodes")
-    return labels
-
-
 def cmd_homophily(args: argparse.Namespace) -> int:
     with open(args.edges) as fh:
         g = load_edge_list(fh)
-    print(f"{node_homophily(g, _node_labels(args.labels, g.n)):.4f}")
+    print(f"{node_homophily(g, load_per_node(args.labels, load_labels, g.n, 'labels')):.4f}")
     return EXIT_OK
 
 
@@ -107,7 +98,7 @@ def cmd_simrank(args: argparse.Namespace) -> int:
     hp = _hyperparams(args)
     with open(args.edges) as fh:
         g = load_edge_list(fh)
-    labels = _node_labels(args.labels, g.n) if args.labels else None
+    labels = load_per_node(args.labels, load_labels, g.n, "labels") if args.labels else None
     t0 = time.perf_counter()
     sim = precompute_similarity(g, hp)
     seconds = time.perf_counter() - t0

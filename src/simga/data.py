@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
+from typing import IO, Callable
 
 import numpy as np
 
@@ -27,10 +27,13 @@ __all__ = [
     "load_features",
     "load_labels",
     "load_split",
+    "load_per_node",
     "load_bundle",
     "gen_twin_graph",
     "gen_structural_heterophily",
 ]
+
+TWIN_FEATURES, TWIN_CLASSES, HETEROPHILY_FEATURES = 8, 3, 16  # the generators' feature columns and classes
 
 
 @dataclass
@@ -58,13 +61,11 @@ class DatasetBundle:
             raise InputFormatError(f"labels must have length {n}")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise InputFormatError("label outside [0, num_classes)")
-        splits = [self.train_idx, self.val_idx, self.test_idx]
-        all_idx = np.concatenate(splits) if any(s.size for s in splits) else np.empty(0, np.int64)
-        if all_idx.size:
-            if all_idx.min() < 0 or all_idx.max() >= n:
-                raise InputFormatError("split index out of range")
-            if np.bincount(all_idx, minlength=n).max() > 1:  # O(n); np.unique sorts
-                raise InputFormatError("train/val/test splits overlap")
+        all_idx = np.concatenate([self.train_idx, self.val_idx, self.test_idx])
+        if all_idx.size and (all_idx.min() < 0 or all_idx.max() >= n):
+            raise InputFormatError("split index out of range")
+        if np.bincount(all_idx, minlength=n).max(initial=0) > 1:  # O(n); np.unique sorts
+            raise InputFormatError("train/val/test splits overlap")
 
     @property
     def n(self) -> int:
@@ -94,6 +95,15 @@ def load_split(source: IO[str]) -> np.ndarray:
     return read_table(source, np.int64, "node id", 1).reshape(-1)
 
 
+def load_per_node(path: str | Path, load: Callable, n: int, what: str) -> np.ndarray:
+    """What `load` reads from the file at `path`, refused unless it holds one row per node."""
+    with open(path) as fh:
+        rows = load(fh)
+        if len(rows) != n:
+            raise input_error(fh, f"holds {len(rows)} {what}, the graph has {n} nodes")
+    return rows
+
+
 def load_bundle(
     edges: str | Path,
     features: str | Path,
@@ -102,19 +112,25 @@ def load_bundle(
     val_split: str | Path,
     test_split: str | Path,
 ) -> DatasetBundle:
-    """Load the documented text formats from disk into a DatasetBundle."""
+    """Load the documented text formats from disk into a DatasetBundle; each refusal names its file."""
     with open(edges) as fh:
         graph = load_edge_list(fh)
-    with open(features) as fh:
-        feats = load_features(fh)
-    with open(labels) as fh:
-        labs = load_labels(fh)
+    n = graph.n
+    feats = load_per_node(features, load_features, n, "feature rows")
+    labs = load_per_node(labels, load_labels, n, "labels")
+    if labs.min() < 0:
+        raise InputFormatError(f"{labels}: negative label {labs.min()}")
     idx = []
+    listed = np.zeros(n, dtype=np.int64)  # times each node is listed by the splits read so far
     for path in (train_split, val_split, test_split):
         with open(path) as fh:
             idx.append(load_split(fh))
-    num_classes = int(labs.max()) + 1
-    return DatasetBundle(graph, feats, labs, num_classes, idx[0], idx[1], idx[2])
+            if idx[-1].size and (idx[-1].min() < 0 or idx[-1].max() >= n):
+                raise input_error(fh, f"node id outside [0, {n})")
+            listed += np.bincount(idx[-1], minlength=n)
+            if listed.max(initial=0) > 1:
+                raise input_error(fh, f"node {np.argmax(listed > 1)} is listed twice across the splits")
+    return DatasetBundle(graph, feats, labs, int(labs.max()) + 1, *idx)
 
 
 def _random_splits(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -124,11 +140,7 @@ def _random_splits(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.nda
 
 
 def gen_twin_graph(
-    base_seed: int,
-    twin_pairs: int,
-    base_nodes: int = 24,
-    feature_dim: int = 8,
-    num_classes: int = 3,
+    base_seed: int, twin_pairs: int, base_nodes: int = 24
 ) -> tuple[DatasetBundle, list[tuple[int, int]]]:
     """Random bundle where each designated twin pair shares its neighbor set and feature row.
 
@@ -154,21 +166,16 @@ def gen_twin_graph(
             edges.add((int(a), v))
         pairs.append((u, v))
     graph = build_graph(n, edges)
-    features = rng.normal(size=(n, feature_dim))
-    labels = rng.integers(0, num_classes, size=n)
+    features = rng.normal(size=(n, TWIN_FEATURES))
+    labels = rng.integers(0, TWIN_CLASSES, size=n)
     for u, v in pairs:
         features[v] = features[u]
     train, val, test = _random_splits(rng, n)
-    bundle = DatasetBundle(graph, features, labels, num_classes, train, val, test)
+    bundle = DatasetBundle(graph, features, labels, TWIN_CLASSES, train, val, test)
     return bundle, pairs
 
 
-def gen_structural_heterophily(
-    seed: int,
-    n: int,
-    classes: int,
-    feature_dim: int = 16,
-) -> DatasetBundle:
+def gen_structural_heterophily(seed: int, n: int, classes: int) -> DatasetBundle:
     """Low-homophily bundle whose labels encode structural role, not features.
 
     Construction: a ring of B blocks, each holding one group of `a` nodes per
@@ -212,7 +219,7 @@ def gen_structural_heterophily(
             for j in range(group):
                 edges.append((member(b, classes - 1, i), member(nxt, 0, j)))
     graph = build_graph(n_eff, edges)
-    features = rng.normal(size=(n_eff, feature_dim))
+    features = rng.normal(size=(n_eff, HETEROPHILY_FEATURES))
     train, val, test = _random_splits(rng, n_eff)
     bundle = DatasetBundle(graph, features, labels, classes, train, val, test)
     assert node_homophily(graph, labels) < 0.3

@@ -186,6 +186,9 @@ def softmax_cross_entropy(
 # and two scratch rows) take 6 * 256 KB, inside a 2 MB L2. Tuned on the
 # benchmark host (Xeon, 2 MB L2 per core) over block sizes 4096-65536.
 ADAM_BLOCK = 32768
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# grad_check's central-difference step, and how near 0 a pre-activation sits at a ReLU kink
+GRAD_CHECK_STEP, GRAD_CHECK_KINK = 1e-5, 1e-6
 
 
 @dataclass
@@ -193,9 +196,6 @@ class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     scratch: np.ndarray = field(default_factory=lambda: np.empty((2, ADAM_BLOCK)), repr=False)
 
 
@@ -212,7 +212,7 @@ def adam_step(
 ) -> AdamState:
     """One bias-corrected Adam update, in place; weight decay enters as +wd*theta on the gradient.
 
-    Per element, with g' = g + wd*theta:
+    Per element, with g' = g + wd*theta and (b1, b2, eps) = (ADAM_BETA1, ADAM_BETA2, ADAM_EPS):
     m = b1*m + (1-b1)*g',  v = b2*v + (1-b2)*g'^2,  theta -= lr*(m/bc1) / (sqrt(v/bc2) + eps).
     Each array is updated in blocks of leading-axis rows holding about
     ADAM_BLOCK elements, with the state's two scratch rows as temporaries, so
@@ -230,9 +230,8 @@ def adam_step(
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ParameterError("params/grads/state length mismatch")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**state.step
-    bc2 = 1.0 - b2**state.step
+    bc1 = 1.0 - ADAM_BETA1**state.step
+    bc2 = 1.0 - ADAM_BETA2**state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
         rows = max(p.ndim, ADAM_BLOCK // max(1, p[:1].size))  # two rows at least when 2-D
         bounds = [*range(0, len(p), rows), len(p)]
@@ -251,15 +250,15 @@ def adam_step(
                 gb = g[lo:hi]
                 if weight_decay:
                     gb = np.add(gb, np.multiply(pb, weight_decay, out=a), out=a)
-            mb *= b1
-            mb += np.multiply(gb, 1.0 - b1, out=b)
-            vb *= b2
+            mb *= ADAM_BETA1
+            mb += np.multiply(gb, 1.0 - ADAM_BETA1, out=b)
+            vb *= ADAM_BETA2
             np.multiply(gb, gb, out=b)
-            b *= 1.0 - b2
+            b *= 1.0 - ADAM_BETA2
             vb += b
             np.divide(vb, bc2, out=b)
             np.sqrt(b, out=b)
-            b += state.eps
+            b += ADAM_EPS
             np.divide(mb, bc1, out=a)
             a *= lr
             a /= b
@@ -283,20 +282,15 @@ def unflatten_arrays(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarra
 
 
 def grad_check(
-    value_and_grad,
-    params: np.ndarray,
-    samples: int = 200,
-    step: float = 1e-5,
-    rng: np.random.Generator | None = None,
-    kink_tol: float = 1e-6,
+    value_and_grad, params: np.ndarray, samples: int = 200, rng: np.random.Generator | None = None
 ) -> float:
     """Central-difference check of an analytic gradient on sampled coordinates.
 
     value_and_grad(flat_params) must return (loss, flat_grad, relu_pre) with
     relu_pre the concatenated hidden pre-activations (may be empty); the loss
     must be deterministic (dropout off). Coordinates whose perturbation flips a
-    ReLU sign, or that sit within kink_tol of a kink, are skipped: the central
-    difference straddles a nondifferentiable point there. Returns the max
+    ReLU sign, or that sit within GRAD_CHECK_KINK of a kink, are skipped: the
+    central difference straddles a nondifferentiable point there. Returns the max
     relative error, with the denominator floored at 1e-3 so near-zero
     coordinates are judged on an absolute scale.
     """
@@ -310,19 +304,19 @@ def grad_check(
     worst = 0.0
     for i in coords:
         bumped = params.copy()
-        bumped[i] += step
+        bumped[i] += GRAD_CHECK_STEP
         loss_p, _, pre_p = value_and_grad(bumped)
-        bumped[i] -= 2.0 * step
+        bumped[i] -= 2.0 * GRAD_CHECK_STEP
         loss_m, _, pre_m = value_and_grad(bumped)
         if pre0.size:
             crossed = (
                 np.any((pre_p > 0.0) != signs0)
                 or np.any((pre_m > 0.0) != signs0)
-                or min(np.abs(pre_p).min(), np.abs(pre_m).min()) < kink_tol
+                or min(np.abs(pre_p).min(), np.abs(pre_m).min()) < GRAD_CHECK_KINK
             )
             if crossed:
                 continue
-        numeric = (loss_p - loss_m) / (2.0 * step)
+        numeric = (loss_p - loss_m) / (2.0 * GRAD_CHECK_STEP)
         analytic = grad0[i]
         denom = max(abs(numeric), abs(analytic), 1e-3)
         worst = max(worst, abs(numeric - analytic) / denom)

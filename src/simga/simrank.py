@@ -11,7 +11,8 @@ The fixed point starts from S = I as CSR and every step is a pair of sparse
 products, so a step costs work in the entries S holds, not in n^2: on the
 benchmark's ring graph (n = 2,992) S ends with 2.8 % of its entries nonzero.
 On a graph where S fills, a sparse step costs about twice a dense one. The
-fixed point returns a dense n x n SimMatrix.
+fixed point checks S on its CSR, in O(nnz), and only then makes it a dense
+n x n SimMatrix, whose own check refuses non-finite entries alone.
 
 The push is level-synchronous (Jacobi order): it keeps a walk-mass sum E and a
 residual R, both sparse n x n, from E = 0 and R = I. Each round commits every
@@ -69,7 +70,7 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 20_000
-SYMMETRY_BLOCK = 2**18  # elements per block of SimMatrix's symmetry check (2 MB of float64)
+HISTOGRAM_FLOOR, HISTOGRAM_BINS = 1e-12, 40  # class_score_histogram's trivial-score floor and bin count
 DUMP_CHUNK = 2**16  # entries per join and write in dump_sparse_sim; its text tables are per chunk
 
 
@@ -93,7 +94,7 @@ def _dense_guard(n: int, what: str) -> None:
 
 @dataclass
 class SimMatrix:
-    """Dense all-pairs similarity with provenance metadata."""
+    """Dense all-pairs similarity and provenance; refuses non-finite entries (the fixed point checks more)."""
 
     values: np.ndarray
     method: str
@@ -102,21 +103,8 @@ class SimMatrix:
 
     def __post_init__(self) -> None:
         v = self.values = np.asarray(self.values, dtype=np.float64)
-        if not v.size:
-            return
-        lo, hi = v.min(), v.max()  # NaN reaches both, so no n x n bool array is needed
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise NumericError(f"similarity matrix ({self.method}) has non-finite entries")
-        if self.method == "fixedpoint":
-            rows = max(1, SYMMETRY_BLOCK // len(v))
-            for r in range(0, len(v), rows):  # row block against column block, never all of v - v.T
-                asym = np.subtract(v[r : r + rows], v[:, r : r + rows].T)
-                if np.abs(asym, out=asym).max() > 1e-12:
-                    raise NumericError("fixed-point similarity not symmetric within 1e-12")
-            if lo < 0.0 or hi > 1.0 + 1e-9:
-                raise NumericError("fixed-point similarity outside [0, 1]")
-            if np.any(np.diag(v) != 1.0):
-                raise NumericError("fixed-point similarity diagonal must be exactly 1")
+        if v.size and not (np.isfinite(v.min()) and np.isfinite(v.max())):  # NaN reaches both
+            raise NumericError("similarity matrix has non-finite entries")
 
     @property
     def n(self) -> int:
@@ -203,13 +191,35 @@ class SparseSim:
         return self.to_csr().toarray()
 
 
-def simrank_fixedpoint(g: Graph, c: float, iterations: int) -> SimMatrix:
-    """Iterate S <- c * P S P^T off-diagonal with the diagonal pinned to 1.
+def _checked_symmetric(s: sp.csr_matrix) -> sp.csr_matrix:
+    """The fixed point's CSR S, checked on its stored entries, with its asymmetric rounding shaved."""
+    lo, hi = s.data.min(initial=0.0), s.data.max(initial=0.0)  # NaN reaches both
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise NumericError("similarity matrix (fixedpoint) has non-finite entries")
+    t = s.T.tocsr()  # S^T, columns ascending within each row
+    s = t.T.tocsr()  # S sorted the same way: two O(nnz) passes, cheaper than sort_indices
+    same = np.array_equal(s.indptr, t.indptr) and np.array_equal(s.indices, t.indices)
+    # the patterns differ only where a product underflowed to 0 in one order and not the other
+    asym = np.subtract(s.data, t.data) if same else (s - t).data
+    if np.abs(asym, out=asym).max(initial=0.0) > 1e-12:
+        raise NumericError("fixed-point similarity not symmetric within 1e-12")
+    if lo < 0.0 or hi > 1.0 + 1e-9:
+        raise NumericError("fixed-point similarity outside [0, 1]")
+    if np.any(s.diagonal() != 1.0):
+        raise NumericError("fixed-point similarity diagonal must be exactly 1")
+    if not same:
+        return s.minimum(t)
+    np.minimum(s.data, t.data, out=s.data)
+    return s
 
-    S starts as the CSR identity and stays CSR, so a step costs sparse
-    products over the entries S actually holds. The result is a dense n x n
-    matrix. Rows/columns of isolated nodes stay zero off-diagonal (their
-    diagonal is still pinned). Converges geometrically at rate c.
+
+def simrank_fixedpoint(g: Graph, c: float, iterations: int) -> SimMatrix:
+    """Iterate S <- c * P S P^T off-diagonal with the diagonal pinned to 1, on CSR from S = I.
+
+    S is refused unless finite (checked first, so a NaN reads as non-finite),
+    symmetric within 1e-12, inside [0, 1] and 1 on its diagonal; then its
+    rounding asymmetry (<= 1 ulp) is shaved and it is returned dense. Rows and
+    columns of isolated nodes stay zero off-diagonal. Converges at rate c.
     """
     _check_decay(c)
     if iterations < 1:
@@ -226,8 +236,7 @@ def simrank_fixedpoint(g: Graph, c: float, iterations: int) -> SimMatrix:
         s.data *= c
         s = s - sp.diags(s.diagonal())
         s = s + eye  # diagonal exactly 1, stored or not before
-    # shave asymmetric rounding (<= 1 ulp) from the products
-    return SimMatrix(values=s.minimum(s.T).toarray(), method="fixedpoint", c=c, iterations=iterations)
+    return SimMatrix(values=_checked_symmetric(s).toarray(), method="fixedpoint", c=c, iterations=iterations)
 
 
 def simrank_power_series(g: Graph, c: float, terms: int) -> SimMatrix:
@@ -351,20 +360,17 @@ class ScoreHistogram:
     bin_edges: np.ndarray
     intra_counts: np.ndarray
     inter_counts: np.ndarray
-    floor: float
     pairs_retained: int
 
 
-def class_score_histogram(
-    s: SparseSim, labels: np.ndarray, floor: float = 1e-12, bins: int = 40
-) -> ScoreHistogram:
+def class_score_histogram(s: SparseSim, labels: np.ndarray) -> ScoreHistogram:
     """Distribution of log scores over unordered node pairs, intra- vs inter-class.
 
     Reads the retained (top-k) similarity, so it never builds an n x n matrix.
     Each off-diagonal pair {u, v} kept by either row counts once, scored by
     S[min, max] when that row keeps it and by S[max, min] otherwise. With
-    k >= n every nonzero pair is kept. Entries at or below `floor` are
-    discarded as trivial before binning.
+    k >= n every nonzero pair is kept. Entries at or below HISTOGRAM_FLOOR are
+    discarded as trivial before binning into HISTOGRAM_BINS bins.
     """
     labels = np.asarray(labels)
     if labels.shape != (s.n,):
@@ -375,7 +381,7 @@ def class_score_histogram(
     ju = np.concatenate([coo.col[upper], coo.row[lower]]).astype(np.int64)
     vals = np.concatenate([coo.data[upper], coo.data[lower]])
     _, first = np.unique(iu * s.n + ju, return_index=True)  # first = the upper entry
-    keep = first[vals[first] > floor]
+    keep = first[vals[first] > HISTOGRAM_FLOOR]
     iu, ju, vals = iu[keep], ju[keep], vals[keep]
     logs = np.log10(vals)
     same = labels[iu] == labels[ju]
@@ -385,14 +391,13 @@ def class_score_histogram(
             lo, hi = lo - 0.5, hi + 0.5
     else:
         lo, hi = -1.0, 0.0
-    edges = np.linspace(lo, hi, bins + 1)
+    edges = np.linspace(lo, hi, HISTOGRAM_BINS + 1)
     intra, _ = np.histogram(logs[same], bins=edges)
     inter, _ = np.histogram(logs[~same], bins=edges)
     return ScoreHistogram(
         bin_edges=edges,
         intra_counts=intra,
         inter_counts=inter,
-        floor=floor,
         pairs_retained=int(logs.size),
     )
 

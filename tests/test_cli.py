@@ -440,7 +440,8 @@ class TestMalformedInputs:
          ["bench", "--ladder", "150,300", "--degree", "inf"],
          ["bench", "--ladder", "abc"],
          ["bench", "--degree", "abc"],  # argparse's own refusals, also one line
-         ["simrank", "--edges", "edges.txt", "--mode", "foo", "--out", "out"]],
+         ["simrank", "--edges", "edges.txt", "--mode", "foo", "--out", "out"],
+         ["bench", "--ladder", "8,8"]],  # one size: no line to fit an exponent to
     )
     def test_bad_bench_values(self, capsys, argv):
         assert main(argv) == 2
@@ -528,6 +529,37 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert_one_error_line(err)
         assert "seed" in err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize(
+        "damage, name",
+        [("short", "labels"), ("negative", "labels"), ("short", "features"), ("id_past_n", "val"),
+         ("in_two_splits", "test")],
+    )
+    def test_bundle_refusal_names_its_file(self, fixture_dir, capsys, command, damage, name):
+        d = fixture_dir
+        if command == "eval":
+            assert main(train_args(d, d / "run", ["--max-epochs", "2"])) == 0
+        path = d / f"{name}.txt"
+        lines = path.read_text().splitlines()
+        if damage == "short":
+            del lines[-1]
+        elif damage == "negative":
+            lines[0] = "-1"
+        elif damage == "id_past_n":
+            lines[0] = "48"
+        else:  # a train node listed again in the test split
+            lines[0] = (d / "train.txt").read_text().split()[0]
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        if command == "train":
+            argv = train_args(d, d / "run")
+        else:
+            argv = ["eval", *bundle_flags(d), "--checkpoint", str(d / "run" / "checkpoint.npz")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert err.startswith(f"error: {path}: ")
 
     def test_bad_split_names_its_file(self, fixture_dir, capsys):
         d = fixture_dir

@@ -3,7 +3,10 @@ import pytest
 
 from simga.errors import NumericError, ParameterError
 from simga.nn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
     ADAM_BLOCK,
+    ADAM_EPS,
     LinearLayer,
     adam_init,
     adam_step,
@@ -162,16 +165,16 @@ class TestAdam:
     def test_matches_reference_formula_bit_for_bit(self, weight_decay):
         def reference_step(params, grads, state, lr, wd):
             state.step += 1
-            bc1 = 1.0 - state.beta1**state.step
-            bc2 = 1.0 - state.beta2**state.step
+            bc1 = 1.0 - ADAM_BETA1**state.step
+            bc2 = 1.0 - ADAM_BETA2**state.step
             for p, g, m, v in zip(params, grads, state.m, state.v):
                 if wd:
                     g = g + wd * p
-                m *= state.beta1
-                m += (1.0 - state.beta1) * g
-                v *= state.beta2
-                v += (1.0 - state.beta2) * (g * g)
-                p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+                m *= ADAM_BETA1
+                m += (1.0 - ADAM_BETA1) * g
+                v *= ADAM_BETA2
+                v += (1.0 - ADAM_BETA2) * (g * g)
+                p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
         rng = np.random.default_rng(0)
         rows = ADAM_BLOCK // 64

@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,9 +15,9 @@ from simga.graph import build_graph, random_graph, transition
 from simga.model import HyperParams, precompute_similarity
 from simga.simrank import (
     DUMP_CHUNK,
-    SYMMETRY_BLOCK,
     SimMatrix,
     SparseSim,
+    _checked_symmetric,
     _rows_from_candidates,
     class_score_histogram,
     dump_sparse_sim,
@@ -467,20 +468,19 @@ def dump_per_line(s, sink):
 
 
 def past_one_block():
-    """A 600 x 600 identity, checked in two row blocks, and two rows of the last block."""
+    """A 600 x 600 identity, and two rows near its end."""
     n = 600
-    assert SYMMETRY_BLOCK < n * n < 2 * SYMMETRY_BLOCK
     return np.eye(n), n - 2, n - 1
 
 
 class TestSimMatrixValidation:
     def test_asymmetric_fixedpoint_rejected(self):
-        # a 2 x 2 matrix, and a pair in the last row block of the blocked check
+        # a 2 x 2 matrix, and a pair in the last rows of a larger one, as the fixed point's CSR S
         big, u, v = past_one_block()
         big[u, v], big[v, u] = 0.5, 0.2
         for values in (np.array([[1.0, 0.5], [0.2, 1.0]]), big):
             with pytest.raises(NumericError, match="not symmetric within 1e-12"):
-                SimMatrix(values=values, method="fixedpoint", c=0.6)
+                _checked_symmetric(sp.csr_matrix(values))
 
     def test_non_finite_rejected(self):
         # a 2 x 2 matrix, and NaN, +inf or -inf in the last row block of a larger one
@@ -508,3 +508,64 @@ class TestSimMatrixValidation:
         finally:
             tracemalloc.stop()
         assert peak < values.nbytes / 4
+
+
+class TestFixedPointChecks:
+    """simrank_fixedpoint refuses a bad S on its CSR, with one message per condition."""
+
+    def test_asymmetric_pattern_rejected(self):
+        # (u, v) is stored and (v, u) is not, so the patterns of S and S^T differ
+        big, u, v = past_one_block()
+        big[u, v] = 0.5
+        with pytest.raises(NumericError, match="not symmetric within 1e-12"):
+            _checked_symmetric(sp.csr_matrix(big))
+
+    def test_pattern_mismatch_within_tolerance_is_shaved(self):
+        # an unpartnered entry below 1e-12 passes, and the shave takes it to 0
+        big, u, v = past_one_block()
+        big[u, v] = 1e-13
+        assert np.array_equal(_checked_symmetric(sp.csr_matrix(big)).toarray(), np.eye(len(big)))
+
+    @pytest.mark.parametrize("bad", [-0.25, 1.5])
+    def test_out_of_range_rejected(self, bad):
+        big, u, v = past_one_block()
+        big[u, v] = big[v, u] = bad
+        with pytest.raises(NumericError, match=r"outside \[0, 1\]"):
+            _checked_symmetric(sp.csr_matrix(big))
+
+    def test_diagonal_not_one_rejected(self):
+        big, u, _ = past_one_block()
+        big[u, u] = 0.5
+        with pytest.raises(NumericError, match="diagonal must be exactly 1"):
+            _checked_symmetric(sp.csr_matrix(big))
+
+    def test_nan_reads_as_non_finite(self):
+        # off the diagonal a NaN passes the other checks (it compares false), and on
+        # it, it would read as a diagonal fault
+        for u, v in ((598, 599), (599, 599)):
+            big, _, _ = past_one_block()
+            big[u, v] = big[v, u] = np.nan
+            with pytest.raises(NumericError, match="non-finite"):
+                _checked_symmetric(sp.csr_matrix(big))
+
+    def test_shave_takes_the_smaller_of_each_pair(self):
+        rng = np.random.default_rng(1)
+        values = rng.random((50, 50)) * (rng.random((50, 50)) < 0.2)
+        values = np.maximum(values, values.T)  # symmetric, entries in [0, 1)
+        upper = np.triu(values, 1) > 0
+        values[upper] = np.nextafter(values[upper], 2.0)  # one ulp of asymmetric rounding
+        np.fill_diagonal(values, 1.0)
+        got = _checked_symmetric(sp.csr_matrix(values)).toarray()
+        assert np.array_equal(got, np.minimum(values, values.T))
+
+    def test_traced_peak_on_a_filled_graph(self):
+        # S fills; the bound is the peak traced when the dense SimMatrix ran the
+        # fixed point's checks (6.17 n^2 doubles); the CSR checks trace 5.67
+        g = random_graph(200, avg_degree=8, seed=0)
+        tracemalloc.start()
+        try:
+            simrank_fixedpoint(g, 0.6, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.17 * 8 * g.n * g.n
