@@ -262,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (InputFormatError, ParameterError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (InputFormatError, ParameterError, OSError) as exc:  # OSError: a path it cannot open or create
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except UnicodeDecodeError as exc:  # an input file that is not UTF-8 text

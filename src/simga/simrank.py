@@ -296,33 +296,39 @@ def simrank_localpush(g: Graph, c: float, eps: float) -> PushMatrix:
     )
 
 
-def _rows_from_candidates(
-    n: int, k: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Select per-row the k largest candidates (ties -> smaller column), columns ascending.
+def _topk(
+    n: int, k: int, indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray, method: str, c: float
+) -> SparseSim:
+    """Each row's k largest entries (ties -> smaller column), from CSR rows with columns ascending.
 
-    The candidates are distinct (row, col) pairs of an n x n matrix, in any order.
+    A row of at most k entries is kept as it is. Only the entries of rows over k
+    are sorted, by row and then value descending; the sort is stable, so a row's
+    column order breaks ties. A keep mask leaves the survivors in CSR order.
     """
-    order = np.lexsort((cols, -vals, rows))
-    counts = np.bincount(rows, minlength=n)
-    row_start = np.cumsum(counts) - counts
-    rank = np.arange(rows.size) - np.repeat(row_start, counts)  # position within its row
-    keep = order[rank < k]
-    keep = keep[np.argsort(rows[keep].astype(np.int64) * n + cols[keep], kind="stable")]
+    if k < 1:
+        raise ParameterError("k must be >= 1")
+    counts = np.diff(indptr)
+    over = np.flatnonzero(counts > k)
+    if over.size:
+        width = counts[over]
+        pos = np.flatnonzero(np.repeat(counts > k, counts))  # CSR positions of the over-k rows' entries
+        past = pos - np.repeat(indptr[over], width) >= k  # past the k-th place in its row
+        order = np.lexsort((-vals[pos], np.repeat(over, width)))
+        keep = np.ones(cols.size, dtype=bool)
+        keep[pos[order[past]]] = False
+        cols, vals = cols[keep], vals[keep]
     indptr = np.concatenate([[0], np.cumsum(np.minimum(counts, k))])
-    return indptr, cols[keep], vals[keep]
+    return SparseSim(n=n, k=k, indptr=indptr, cols=cols, scores=vals, method=method, c=c)
 
 
 def topk_prune(s: SimMatrix, k: int) -> SparseSim:
     """Keep the k largest nonzero entries of each row (ties -> smaller column id)."""
-    if k < 1:
-        raise ParameterError("k must be >= 1")
-    rows, cols = np.nonzero(s.values)
-    vals = s.values[rows, cols]
-    indptr, cols_out, vals_out = _rows_from_candidates(s.n, k, rows, cols, vals)
-    return SparseSim(
-        n=s.n, k=k, indptr=indptr, cols=cols_out, scores=vals_out, method=s.method, c=s.c
-    )
+    n = s.n
+    cols = np.flatnonzero(s.values)  # flat indices, row-major, so in CSR order
+    vals = s.values.ravel()[cols]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols // n, minlength=n))])
+    cols %= n
+    return _topk(n, k, indptr, cols, vals, s.method, s.c)
 
 
 def topk_from_push(push: PushMatrix, k: int) -> SparseSim:
@@ -330,19 +336,9 @@ def topk_from_push(push: PushMatrix, k: int) -> SparseSim:
 
     Never materializes a dense matrix, so it works past DENSE_LIMIT.
     """
-    if k < 1:
-        raise ParameterError("k must be >= 1")
-    n = push.n
-    est = push.estimate.tocoo()
-    rows, cols, vals = est.row, est.col, est.data
-    off = rows != cols
-    rows = np.concatenate([rows[off], np.arange(n)])
-    cols = np.concatenate([cols[off], np.arange(n)])
-    vals = np.concatenate([vals[off], np.ones(n)])
-    indptr, cols_out, vals_out = _rows_from_candidates(n, k, rows, cols, vals)
-    return SparseSim(
-        n=n, k=k, indptr=indptr, cols=cols_out, scores=vals_out, method="localpush", c=push.c
-    )
+    est = push.estimate
+    s = est - sp.diags(est.diagonal()) + sp.identity(push.n, format="csr")  # canonical CSR
+    return _topk(push.n, k, s.indptr, s.indices, s.data, "localpush", push.c)
 
 
 def sparse_aggregate(s: SparseSim, h: np.ndarray) -> np.ndarray:

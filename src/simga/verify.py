@@ -27,6 +27,9 @@ from .walks import enumerate_tours, meeting_probability, walk_distribution
 
 __all__ = ["SuiteResult", "walk_suite", "push_suite", "twin_suite", "run_all"]
 
+WALK_GRAPHS, PUSH_GRAPHS, TWIN_BUNDLES = 10, 6, 3  # inputs per suite
+PUSH_EPS, PUSH_C = 0.05, 0.6  # the push suite's accuracy target and decay factor
+
 
 @dataclass
 class SuiteResult:
@@ -43,10 +46,10 @@ def _paired_tour_meeting(g: Graph, u: int, v: int, length: int) -> float:
     return sum(pu * hv.get(x, 0.0) for x, pu in enumerate_tours(g, u, length).items())
 
 
-def walk_suite(seed: int = 0, graphs: int = 10) -> SuiteResult:
+def walk_suite(seed: int = 0) -> SuiteResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(graphs):
+    for _ in range(WALK_GRAPHS):
         n = int(rng.integers(3, 13))
         g = random_graph(n, avg_degree=2.5, seed=int(rng.integers(0, 2**31)))
         p = transition(g)
@@ -71,31 +74,31 @@ def walk_suite(seed: int = 0, graphs: int = 10) -> SuiteResult:
         max_error=worst,
         bound=bound,
         passed=worst <= bound,
-        detail=f"{graphs} graphs, all sources, lengths 0..6",
+        detail=f"{WALK_GRAPHS} graphs, all sources, lengths 0..6",
     )
 
 
-def push_suite(seed: int = 0, graphs: int = 6, eps: float = 0.05, c: float = 0.6) -> SuiteResult:
+def push_suite(seed: int = 0) -> SuiteResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     guard_ok = True
-    for _ in range(graphs):
+    for _ in range(PUSH_GRAPHS):
         n = int(rng.integers(30, 121))
         g = random_graph(n, avg_degree=6.0, seed=int(rng.integers(0, 2**31)), min_degree=2)
-        push = simrank_localpush(g, c, eps)
-        if push.max_residual() > (1.0 - c) * eps:
+        push = simrank_localpush(g, PUSH_C, PUSH_EPS)
+        if push.max_residual() > (1.0 - PUSH_C) * PUSH_EPS:
             guard_ok = False
-        series = simrank_power_series(g, c, 50).values
+        series = simrank_power_series(g, PUSH_C, 50).values
         gap = float(np.abs(push.estimate.toarray() - series).max())
         worst = max(worst, gap)
-    passed = guard_ok and worst <= eps
-    detail = f"{graphs} graphs, eps={eps}" + ("" if guard_ok else "; residual guard violated")
-    return SuiteResult(name="push", max_error=worst, bound=eps, passed=passed, detail=detail)
+    passed = guard_ok and worst <= PUSH_EPS
+    detail = f"{PUSH_GRAPHS} graphs, eps={PUSH_EPS}" + ("" if guard_ok else "; residual guard violated")
+    return SuiteResult(name="push", max_error=worst, bound=PUSH_EPS, passed=passed, detail=detail)
 
 
-def twin_suite(seed: int = 0, bundles: int = 3) -> SuiteResult:
+def twin_suite(seed: int = 0) -> SuiteResult:
     worst = 0.0
-    for i in range(bundles):
+    for i in range(TWIN_BUNDLES):
         bundle, pairs = gen_twin_graph(base_seed=seed + i, twin_pairs=2 + i)
         hp = HyperParams(dropout=0.0, k=bundle.n, eps=0.01, width=16, mlp_h_depth=2)
         rng = np.random.default_rng(seed + 1000 + i)
@@ -115,7 +118,7 @@ def twin_suite(seed: int = 0, bundles: int = 3) -> SuiteResult:
         max_error=worst,
         bound=bound,
         passed=worst <= bound,
-        detail=f"{bundles} twin bundles, arbitrary parameters, dropout off",
+        detail=f"{TWIN_BUNDLES} twin bundles, arbitrary parameters, dropout off",
     )
 
 

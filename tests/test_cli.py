@@ -561,6 +561,28 @@ class TestMalformedInputs:
         assert_one_error_line(err)
         assert err.startswith(f"error: {path}: ")
 
+    @pytest.mark.parametrize("command", ["simrank", "train", "eval"])
+    @pytest.mark.parametrize("damage", ["out_is_a_file", "out_under_a_file", "edges_under_a_file"])
+    def test_path_that_cannot_be_opened_or_created(self, fixture_dir, capsys, command, damage):
+        d = fixture_dir
+        if command == "eval":
+            assert main(train_args(d, d / "run", ["--max-epochs", "2"])) == 0
+        taken = d / "labels.txt"  # a file, so no directory can be made at or under it
+        out = {"out_is_a_file": taken, "out_under_a_file": taken / "sub"}.get(damage, d / "out")
+        argv = {
+            "simrank": ["simrank", "--edges", str(d / "edges.txt"), "--k", "16", "--out", str(out)],
+            "train": train_args(d, out, ["--max-epochs", "2"]),
+            "eval": ["eval", *bundle_flags(d), "--checkpoint", str(d / "run" / "checkpoint.npz"),
+                     "--out", str(out)],
+        }[command]
+        if damage == "edges_under_a_file":
+            argv[argv.index("--edges") + 1] = str(taken / "x")
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert str(taken) in err
+
     def test_bad_split_names_its_file(self, fixture_dir, capsys):
         d = fixture_dir
         lines = (d / "val.txt").read_text().splitlines()

@@ -18,7 +18,7 @@ from simga.simrank import (
     SimMatrix,
     SparseSim,
     _checked_symmetric,
-    _rows_from_candidates,
+    _topk,
     class_score_histogram,
     dump_sparse_sim,
     load_sparse_sim,
@@ -272,16 +272,17 @@ class TestTopkPrune:
     def test_row_selection_matches_per_row_sort(self, cands, k):
         n = 8  # rows 6 and 7 never hold a candidate
         pairs = list(cands.items())
-        rows = np.array([u for (u, _), _ in pairs], dtype=np.int64)
-        cols = np.array([v for (_, v), _ in pairs], dtype=np.int64)
-        vals = np.array([x for _, x in pairs], dtype=np.float64)
-        indptr, cols_out, vals_out = _rows_from_candidates(n, k, rows, cols, vals)
+        csr = sorted(pairs)  # the candidates as CSR rows, columns ascending
+        indptr = np.searchsorted([u for (u, _), _ in csr], np.arange(n + 1))
+        cols = np.array([v for (_, v), _ in csr], dtype=np.int64)
+        vals = np.array([x for _, x in csr], dtype=np.float64)
+        pruned = _topk(n, k, indptr, cols, vals, "custom", 0.6)
         for u in range(n):
             mine = [(v, x) for (r, v), x in pairs if r == u]
             top = sorted(mine, key=lambda e: (-e[1], e[0]))[:k]
             want = sorted(top)
-            lo, hi = indptr[u], indptr[u + 1]
-            assert list(zip(cols_out[lo:hi].tolist(), vals_out[lo:hi].tolist())) == want
+            cols_out, vals_out = pruned.row(u)
+            assert list(zip(cols_out.tolist(), vals_out.tolist())) == want
 
     def test_sparse_route_matches_dense_route(self):
         g = random_graph(40, avg_degree=6, seed=11)
@@ -305,6 +306,14 @@ class TestTopkPrune:
         assert np.array_equal(s.toarray()[off], est.toarray()[off])
         assert np.array_equal(s.diagonal(), np.ones(g.n))
         assert s.nnz - g.n == est.nnz - np.count_nonzero(est.diagonal())
+
+    def test_push_that_commits_nothing_gives_the_identity(self):
+        g = random_graph(30, avg_degree=4, seed=13)
+        raw = simrank_localpush(g, 0.6, 5.0)  # threshold (1-c)*eps = 2 is above R = I
+        assert raw.pops == 0
+        s = topk_from_push(raw, 3)
+        assert s.n == g.n
+        assert np.array_equal(s.densify(), np.eye(g.n))
 
 
 class TestSparseAggregate:
