@@ -152,11 +152,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     bundle = load_bundle(
         args.edges, args.features, args.labels, args.train_split, args.val_split, args.test_split
     )
-    params, hp, sim = load_checkpoint(args.checkpoint)
-    trained_n = params.mlp_a[0].weight.shape[0]  # the adjacency branch has one row per node
-    if trained_n != bundle.n:
+    params, hp, sim = load_checkpoint(args.checkpoint)  # which checks that S and the weights share n
+    if sim.n != bundle.n:
         raise InputFormatError(
-            f"checkpoint {args.checkpoint} was trained on {trained_n} nodes, the graph has {bundle.n}"
+            f"checkpoint {args.checkpoint} was trained on {sim.n} nodes, the graph has {bundle.n}"
         )
     split = {"train": bundle.train_idx, "val": bundle.val_idx, "test": bundle.test_idx}[args.split]
     acc = evaluate(bundle, sim, params, hp, split)

@@ -294,7 +294,7 @@ def _backward(bundle, s, params, hp, cache, grad_z) -> list[np.ndarray | tuple[n
     factor pair (A g0, (1-delta) W_h0^T): adam_step forms it a block at a
     time, and loss_and_grads multiplies it out.
     """
-    grad_h = (1.0 - hp.alpha) * (s.to_csr().T @ grad_z) + hp.alpha * grad_z
+    grad_h = (1.0 - hp.alpha) * (s.csr.T @ grad_z) + hp.alpha * grad_z
     g0, grads_h = mlp_backward_to_pre(params.mlp_h, cache["cache_h"], grad_h)
     lf, la, l0 = params.mlp_f[0], params.mlp_a[0], params.mlp_h[0]
     d = hp.delta
@@ -511,7 +511,9 @@ def grouping_report(
 def save_checkpoint(path: str | Path, params: SimgaParams, hp: HyperParams, sim: SparseSim) -> None:
     """Named-tensor npz: the weights, the S they were trained against, the run config."""
     payload = {name: arr for name, arr in params.named_arrays()}
-    payload.update({"sim.indptr": sim.indptr, "sim.cols": sim.cols, "sim.scores": sim.scores})
+    csr = sim.csr  # its index arrays stored as int64, whatever index width scipy chose
+    payload.update({"sim.indptr": csr.indptr.astype(np.int64), "sim.cols": csr.indices.astype(np.int64)})
+    payload["sim.scores"] = csr.data
     payload["__format_version__"] = np.int64(CHECKPOINT_FORMAT_VERSION)
     payload["__hyperparams__"] = np.str_(json.dumps(hp.to_dict()))
     provenance = {"n": sim.n, "k": sim.k, "c": sim.c, "method": sim.method}
@@ -569,11 +571,17 @@ def load_checkpoint(path: str | Path) -> tuple[SimgaParams, HyperParams, SparseS
                 )
             provenance = header("__similarity__")  # n, k, c and method of the stored S
             stored = {key: array(f"sim.{key}") for key in ("indptr", "cols", "scores")}
+            for key in ("indptr", "cols"):  # numpy and scipy would truncate floats to ids
+                if stored[key].dtype.kind not in "iu":
+                    raise InputFormatError(f"sim.{key} holds {stored[key].dtype}, not integers")
             try:
                 n, k, c, method = (provenance[key] for key in ("n", "k", "c", "method"))
-                sim = SparseSim(n=int(n), k=int(k), c=float(c), method=str(method), **stored)
+                sim = SparseSim.from_arrays(n=int(n), k=int(k), c=float(c), method=str(method), **stored)
             except (KeyError, TypeError, ValueError, InputFormatError) as exc:
                 raise InputFormatError(f"bad stored similarity: {exc}") from None
+            trained_n = blocks["mlp_a"][0].weight.shape[0]  # the adjacency branch has one row per node
+            if sim.n != trained_n:
+                raise InputFormatError(f"stored similarity has {sim.n} nodes, the weights {trained_n}")
     except (InputFormatError, ParameterError) as exc:
         raise InputFormatError(f"checkpoint {path}: {exc}") from None
     return SimgaParams(**blocks), hp, sim

@@ -34,15 +34,16 @@ the sparse products: at eps 0.1 the largest |E - E^T| was 0 on a 4000-node
 ring graph and 6.9e-18 on a 40000-node uniform graph of degree 8.
 
 The top-k similarity the model consumes comes from model.precompute_similarity
-alone: topk_prune over the fixed point, or topk_from_push over the push.
-Dense similarity matrices are only allowed up to DENSE_LIMIT nodes; past that
-only the push + top-k sparse route is available.
+alone: topk_prune over the fixed point, or topk_from_push over the push. Each
+returns a SparseSim: one canonical n x n CSR (per row at most k entries, columns
+ascending) plus k, method and c. Dense similarity matrices are only allowed up
+to DENSE_LIMIT nodes; past that only the push + top-k sparse route is available.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
@@ -140,55 +141,49 @@ class PushMatrix:
 
 @dataclass
 class SparseSim:
-    """Row-wise top-k similarity: per row at most k (column, score) pairs, columns ascending."""
+    """Row-wise top-k similarity as one canonical n x n CSR: per row at most k entries, columns ascending."""
 
-    n: int
+    csr: sp.csr_matrix
     k: int
-    indptr: np.ndarray
-    cols: np.ndarray
-    scores: np.ndarray
     method: str
     c: float
-    _csr_cache: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.indptr = np.asarray(self.indptr, dtype=np.int64)
-        self.cols = np.asarray(self.cols, dtype=np.int64)
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        n, cols, scores = self.n, self.cols, self.scores
-        if n < 0:
-            raise InputFormatError(f"negative node count {n}")
-        counts = np.diff(self.indptr)
-        if self.indptr.shape != (n + 1,) or self.indptr[0] != 0 or counts.min(initial=0) < 0:
-            raise InputFormatError("bad indptr")
-        if self.indptr[-1] != cols.size or scores.shape != cols.shape:
-            raise InputFormatError("indptr, columns and scores disagree in length")
-        if np.any(counts > self.k):
+        s, n = self.csr, self.n
+        if np.diff(s.indptr).max(initial=0) > self.k:
             raise InputFormatError(f"row holds more than k={self.k} entries")
-        if cols.size and (cols.min() < 0 or cols.max() >= n):
+        if s.nnz and (s.indices.min() < 0 or s.indices.max() >= n):
             raise InputFormatError(f"column id outside [0, {n})")
-        rows = np.repeat(np.arange(n, dtype=np.int64), counts)
-        if np.any(np.diff(rows * n + cols) <= 0):
+        if not s.has_canonical_format:  # indptr nondecreasing, columns strictly ascending
             raise InputFormatError("columns not strictly ascending within a row")
-        if not np.isfinite(scores).all():
+        lo, hi = s.data.min(initial=0.0), s.data.max(initial=0.0)  # NaN reaches both
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise InputFormatError("non-finite score")
-        if scores.size and scores.min() < 0.0:
+        if lo < 0.0:
             raise InputFormatError("scores must be nonnegative")
 
-    def row(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.indptr[u], self.indptr[u + 1]
-        return self.cols[lo:hi], self.scores[lo:hi]
+    @classmethod
+    def from_arrays(cls, n: int, k: int, indptr, cols, scores, method: str, c: float) -> SparseSim:
+        """S from raw CSR arrays, as a dump or a checkpoint holds them; checked before scipy reads them."""
+        if n < 0:
+            raise InputFormatError(f"negative node count {n}")
+        indptr = np.asarray(indptr, dtype=np.int64)
+        cols = np.ascontiguousarray(cols, dtype=np.int64)  # a dump's are strided views: copied here
+        scores = np.ascontiguousarray(scores, dtype=np.float64)  # once, not by every sparse product
+        if indptr.shape != (n + 1,) or indptr[0] != 0 or np.diff(indptr).min(initial=0) < 0:
+            raise InputFormatError("bad indptr")
+        # scipy would drop the entries past indptr[-1] without a word
+        if indptr[-1] != cols.size or scores.shape != cols.shape:
+            raise InputFormatError("indptr, columns and scores disagree in length")
+        return cls(sp.csr_matrix((scores, cols, indptr), shape=(n, n)), k=k, method=method, c=c)
 
-    def to_csr(self) -> sp.csr_matrix:
-        if self._csr_cache is None:
-            self._csr_cache = sp.csr_matrix(
-                (self.scores, self.cols, self.indptr), shape=(self.n, self.n)
-            )
-        return self._csr_cache
+    @property
+    def n(self) -> int:
+        return self.csr.shape[0]
 
     def densify(self) -> np.ndarray:
         _dense_guard(self.n, "sparse similarity export")
-        return self.to_csr().toarray()
+        return self.csr.toarray()
 
 
 def _checked_symmetric(s: sp.csr_matrix) -> sp.csr_matrix:
@@ -296,29 +291,26 @@ def simrank_localpush(g: Graph, c: float, eps: float) -> PushMatrix:
     )
 
 
-def _topk(
-    n: int, k: int, indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray, method: str, c: float
-) -> SparseSim:
-    """Each row's k largest entries (ties -> smaller column), from CSR rows with columns ascending.
+def _topk(s: sp.csr_matrix, k: int, method: str, c: float) -> SparseSim:
+    """Each row's k largest entries (ties -> smaller column), from a canonical CSR with no stored zeros.
 
     A row of at most k entries is kept as it is. Only the entries of rows over k
     are sorted, by row and then value descending; the sort is stable, so a row's
-    column order breaks ties. A keep mask leaves the survivors in CSR order.
+    column order breaks ties. The rest are zeroed and eliminated from s in place,
+    which leaves the survivors in CSR order.
     """
     if k < 1:
         raise ParameterError("k must be >= 1")
-    counts = np.diff(indptr)
+    counts = np.diff(s.indptr)
     over = np.flatnonzero(counts > k)
     if over.size:
         width = counts[over]
         pos = np.flatnonzero(np.repeat(counts > k, counts))  # CSR positions of the over-k rows' entries
-        past = pos - np.repeat(indptr[over], width) >= k  # past the k-th place in its row
-        order = np.lexsort((-vals[pos], np.repeat(over, width)))
-        keep = np.ones(cols.size, dtype=bool)
-        keep[pos[order[past]]] = False
-        cols, vals = cols[keep], vals[keep]
-    indptr = np.concatenate([[0], np.cumsum(np.minimum(counts, k))])
-    return SparseSim(n=n, k=k, indptr=indptr, cols=cols, scores=vals, method=method, c=c)
+        past = pos - np.repeat(s.indptr[over], width) >= k  # past the k-th place in its row
+        order = np.lexsort((-s.data[pos], np.repeat(over, width)))
+        s.data[pos[order[past]]] = 0.0
+        s.eliminate_zeros()
+    return SparseSim(s, k=k, method=method, c=c)
 
 
 def topk_prune(s: SimMatrix, k: int) -> SparseSim:
@@ -328,7 +320,7 @@ def topk_prune(s: SimMatrix, k: int) -> SparseSim:
     vals = s.values.ravel()[cols]
     indptr = np.concatenate([[0], np.cumsum(np.bincount(cols // n, minlength=n))])
     cols %= n
-    return _topk(n, k, indptr, cols, vals, s.method, s.c)
+    return _topk(sp.csr_matrix((vals, cols, indptr), shape=(n, n)), k, s.method, s.c)
 
 
 def topk_from_push(push: PushMatrix, k: int) -> SparseSim:
@@ -338,7 +330,7 @@ def topk_from_push(push: PushMatrix, k: int) -> SparseSim:
     """
     est = push.estimate
     s = est - sp.diags(est.diagonal()) + sp.identity(push.n, format="csr")  # canonical CSR
-    return _topk(push.n, k, s.indptr, s.indices, s.data, "localpush", push.c)
+    return _topk(s, k, "localpush", push.c)
 
 
 def sparse_aggregate(s: SparseSim, h: np.ndarray) -> np.ndarray:
@@ -346,7 +338,7 @@ def sparse_aggregate(s: SparseSim, h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 2 or h.shape[0] != s.n:
         raise ParameterError(f"row count mismatch: similarity has {s.n} rows, h has {h.shape}")
-    return s.to_csr() @ h
+    return s.csr @ h
 
 
 @dataclass
@@ -371,7 +363,7 @@ def class_score_histogram(s: SparseSim, labels: np.ndarray) -> ScoreHistogram:
     labels = np.asarray(labels)
     if labels.shape != (s.n,):
         raise ParameterError(f"labels must have length {s.n}")
-    coo = s.to_csr().tocoo()
+    coo = s.csr.tocoo()
     upper, lower = coo.row < coo.col, coo.row > coo.col
     iu = np.concatenate([coo.row[upper], coo.col[lower]]).astype(np.int64)
     ju = np.concatenate([coo.col[upper], coo.row[lower]]).astype(np.int64)
@@ -428,10 +420,11 @@ def dump_sparse_sim(s: SparseSim, sink: IO[str]) -> None:
     by one % call per field, and shared through np.unique's inverse: S's scores repeat.
     """
     sink.write(f"{s.n} {s.k} {s.c:.17g} {s.method}\n")
-    rows = np.repeat(np.arange(s.n), np.diff(s.indptr))
+    rows = np.repeat(np.arange(s.n), np.diff(s.csr.indptr))
+    cols = s.csr.indices.astype(np.int64)  # _dump_lines reads each field's bits as int64
     for lo in range(0, rows.size, DUMP_CHUNK):
         hi = min(lo + DUMP_CHUNK, rows.size)
-        sink.write(_dump_lines([rows[lo:hi], s.cols[lo:hi], s.scores[lo:hi]]))
+        sink.write(_dump_lines([rows[lo:hi], cols[lo:hi], s.csr.data[lo:hi]]))
 
 
 def load_sparse_sim(source: IO[str]) -> SparseSim:
@@ -454,8 +447,7 @@ def load_sparse_sim(source: IO[str]) -> SparseSim:
     if np.any(np.diff(rows) < 0):
         raise input_error(source, "similarity dump: rows out of order")
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-    cols, scores = np.ascontiguousarray(body["v"]), np.ascontiguousarray(body["s"])
     try:
-        return SparseSim(n=n, k=k, indptr=indptr, cols=cols, scores=scores, method=header[3], c=c)
+        return SparseSim.from_arrays(n, k, indptr, body["v"], body["s"], method=header[3], c=c)
     except InputFormatError as exc:
         raise input_error(source, f"similarity dump: {exc}") from None

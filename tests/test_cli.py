@@ -187,8 +187,8 @@ class TestTrainEval:
             dump = load_sparse_sim(fh)
         _, _, stored = load_checkpoint(out / "checkpoint.npz")
         assert (stored.n, stored.k, stored.c, stored.method) == (dump.n, dump.k, dump.c, dump.method)
-        for key in ("indptr", "cols", "scores"):
-            assert np.array_equal(getattr(stored, key), getattr(dump, key))
+        for key in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(stored.csr, key), getattr(dump.csr, key))
         capsys.readouterr()
         code = main(["eval", *bundle_flags(d), "--checkpoint", str(out / "checkpoint.npz"),
                      "--split", "test"])
@@ -358,7 +358,9 @@ class TestMalformedInputs:
     @pytest.mark.parametrize(
         "damage", ["not_npz", "no_version", "no_array", "version_1", "version_2", "sim_column_past_n",
                    "depth_float", "width_list", "sim_negative_n", "version_not_int", "hyperparams_list",
-                   "width_mismatch", "bias_2d", "object_array"]
+                   "width_mismatch", "bias_2d", "object_array", "sim_float_columns", "sim_other_n",
+                   "sim_longer_than_indptr", "sim_indptr_decreasing", "sim_columns_unsorted", "sim_nan_score",
+                   "sim_row_over_k"]
     )
     def test_bad_checkpoint(self, fixture_dir, capsys, damage):
         d = fixture_dir
@@ -398,6 +400,27 @@ class TestMalformedInputs:
             arrays["mlp_h.0.bias"] = arrays["mlp_h.0.bias"][None, :]
         elif damage == "object_array":  # saved pickled, which the loader refuses to unpickle
             arrays["mlp_f.0.weight"] = np.array([[1.0, "x"]], dtype=object)
+        elif damage == "sim_float_columns":  # which a cast to int64 would truncate
+            arrays["sim.cols"] = arrays["sim.cols"] + 0.5
+        elif damage == "sim_other_n":  # a valid S of 49 nodes next to weights of 48
+            provenance = json.loads(str(arrays["__similarity__"]))
+            arrays["__similarity__"] = np.str_(json.dumps({**provenance, "n": 49}))
+            arrays["sim.indptr"] = np.append(arrays["sim.indptr"], arrays["sim.indptr"][-1])
+        elif damage == "sim_longer_than_indptr":  # an entry past indptr[-1], which scipy would drop
+            arrays["sim.cols"] = np.append(arrays["sim.cols"], 0)
+            arrays["sim.scores"] = np.append(arrays["sim.scores"], 0.5)
+        elif damage == "sim_indptr_decreasing":
+            arrays["sim.indptr"][1] = arrays["sim.indptr"][2] + 1
+        elif damage == "sim_columns_unsorted":  # row 0's first two columns swapped
+            assert arrays["sim.indptr"][1] >= 2
+            arrays["sim.cols"][[0, 1]] = arrays["sim.cols"][[1, 0]]
+        elif damage == "sim_nan_score":
+            arrays["sim.scores"][0] = np.nan
+        elif damage == "sim_row_over_k":  # provenance k below the longest row
+            provenance = json.loads(str(arrays["__similarity__"]))
+            k = int(np.diff(arrays["sim.indptr"]).max()) - 1
+            assert k >= 1
+            arrays["__similarity__"] = np.str_(json.dumps({**provenance, "k": k}))
         path = d / "bad.npz"
         if damage == "not_npz":
             path.write_bytes(b"not a checkpoint\n")
@@ -411,8 +434,16 @@ class TestMalformedInputs:
         assert err.startswith(f"error: checkpoint {path}: ")
         if damage in ("version_1", "version_2"):
             assert f"format version {damage[-1]}" in err
-        if damage == "sim_column_past_n":
-            assert "column id outside [0, 48)" in err
+        assert {
+            "sim_column_past_n": "column id outside [0, 48)",
+            "sim_float_columns": "sim.cols holds float64, not integers",
+            "sim_other_n": "stored similarity has 49 nodes, the weights 48",
+            "sim_longer_than_indptr": "indptr, columns and scores disagree in length",
+            "sim_indptr_decreasing": "bad indptr",
+            "sim_columns_unsorted": "columns not strictly ascending within a row",
+            "sim_nan_score": "non-finite score",
+            "sim_row_over_k": "row holds more than k=",
+        }.get(damage, "") in err
 
     def test_eval_on_another_node_count(self, tmp_path, capsys):
         big = write_bundle(tmp_path / "n800", gen_structural_heterophily(seed=0, n=800, classes=4))

@@ -205,7 +205,7 @@ def unfolded_logits(bundle, sim, params, hp, rng):
 
 def unfolded_grads(bundle, sim, params, hp, cache_h, grad_z):
     """Backprop of unfolded_logits, through the materialised blend's gradient."""
-    grad_h = (1.0 - hp.alpha) * (sim.to_csr().T @ grad_z) + hp.alpha * grad_z
+    grad_h = (1.0 - hp.alpha) * (sim.csr.T @ grad_z) + hp.alpha * grad_z
     grad_combined, grads_h = mlp_backward(params.mlp_h, cache_h, grad_h)
     grad_hf = hp.delta * grad_combined
     grad_ha = (1.0 - hp.delta) * grad_combined
@@ -494,8 +494,8 @@ class TestCheckpoint:
         assert (loaded_sim.n, loaded_sim.k, loaded_sim.c, loaded_sim.method) == (
             sim.n, sim.k, sim.c, sim.method
         )
-        for key in ("indptr", "cols", "scores"):
-            assert np.array_equal(getattr(loaded_sim, key), getattr(sim, key))
+        for key in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(loaded_sim.csr, key), getattr(sim.csr, key))
         for (name_a, arr_a), (name_b, arr_b) in zip(
             params.named_arrays(), loaded_params.named_arrays()
         ):

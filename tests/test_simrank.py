@@ -234,16 +234,16 @@ class TestTopkPrune:
         s = simrank_fixedpoint(g, 0.6, 10)
         pruned = topk_prune(s, 1)
         for u in range(g.n):
-            cols, scores = pruned.row(u)
+            cols, scores = row(pruned, u)
             assert cols.tolist() == [u] and scores.tolist() == [1.0]
 
     def test_ties_go_to_smaller_column(self):
         values = np.array([[0.2, 0.5, 0.5], [0.5, 0.2, 0.5], [0.1, 0.1, 0.1]])
         s = SimMatrix(values=values, method="custom", c=0.6)
         pruned = topk_prune(s, 1)
-        assert pruned.row(0)[0].tolist() == [1]
-        assert pruned.row(1)[0].tolist() == [0]
-        assert pruned.row(2)[0].tolist() == [0]
+        assert row(pruned, 0)[0].tolist() == [1]
+        assert row(pruned, 1)[0].tolist() == [0]
+        assert row(pruned, 2)[0].tolist() == [0]
 
     def test_retained_mass_nondecreasing_in_k(self):
         g = random_graph(30, avg_degree=5, seed=7)
@@ -251,7 +251,7 @@ class TestTopkPrune:
         total = s.values.sum()
         prev = 0.0
         for k in (1, 2, 4, 8, 16, 30):
-            frac = topk_prune(s, k).scores.sum() / total
+            frac = topk_prune(s, k).csr.data.sum() / total
             assert frac >= prev - 1e-15
             prev = frac
         assert prev == pytest.approx(1.0)
@@ -276,12 +276,12 @@ class TestTopkPrune:
         indptr = np.searchsorted([u for (u, _), _ in csr], np.arange(n + 1))
         cols = np.array([v for (_, v), _ in csr], dtype=np.int64)
         vals = np.array([x for _, x in csr], dtype=np.float64)
-        pruned = _topk(n, k, indptr, cols, vals, "custom", 0.6)
+        pruned = _topk(sp.csr_matrix((vals, cols, indptr), shape=(n, n)), k, "custom", 0.6)
         for u in range(n):
             mine = [(v, x) for (r, v), x in pairs if r == u]
             top = sorted(mine, key=lambda e: (-e[1], e[0]))[:k]
             want = sorted(top)
-            cols_out, vals_out = pruned.row(u)
+            cols_out, vals_out = row(pruned, u)
             assert list(zip(cols_out.tolist(), vals_out.tolist())) == want
 
     def test_sparse_route_matches_dense_route(self):
@@ -300,7 +300,7 @@ class TestTopkPrune:
         # off-diagonal score is the push estimate's entry, unscaled
         g = random_graph(60, avg_degree=6, seed=12)
         raw = simrank_localpush(g, 0.6, 0.02)
-        s = topk_from_push(raw, g.n).to_csr()
+        s = topk_from_push(raw, g.n).csr
         est = raw.estimate
         off = ~np.eye(g.n, dtype=bool)
         assert np.array_equal(s.toarray()[off], est.toarray()[off])
@@ -370,8 +370,8 @@ class TestScoreHistogram:
 
     def test_pair_kept_by_either_row_counts_once(self):
         # {0, 1} is kept by both rows, {0, 2} only by row 2
-        s = SparseSim(n=3, k=2, indptr=[0, 2, 4, 6], cols=[0, 1, 0, 1, 0, 2],
-                      scores=[1.0, 0.5, 0.5, 1.0, 0.3, 1.0], method="custom", c=0.6)
+        s = SparseSim.from_arrays(n=3, k=2, indptr=[0, 2, 4, 6], cols=[0, 1, 0, 1, 0, 2],
+                                  scores=[1.0, 0.5, 0.5, 1.0, 0.3, 1.0], method="custom", c=0.6)
         hist = class_score_histogram(s, np.array([0, 0, 1]))
         assert hist.pairs_retained == 2
         assert hist.intra_counts.sum() == 1 and hist.inter_counts.sum() == 1
@@ -403,35 +403,35 @@ class TestDumpLoad:
             load_sparse_sim(io.StringIO("5 3 x fixedpoint\n"))
 
     def test_signed_zero_survives(self):
-        s = SparseSim(n=2, k=2, indptr=[0, 2, 3], cols=[0, 1, 1], scores=[-0.0, 0.0, -0.0],
-                      method="custom", c=0.6)
+        s = SparseSim.from_arrays(n=2, k=2, indptr=[0, 2, 3], cols=[0, 1, 1], scores=[-0.0, 0.0, -0.0],
+                                  method="custom", c=0.6)
         buf = io.StringIO()
         dump_sparse_sim(s, buf)
         assert buf.getvalue().splitlines()[1:] == ["0 0 -0", "0 1 0", "1 1 -0"]
         buf.seek(0)
-        assert np.signbit(load_sparse_sim(buf).scores).tolist() == [True, False, True]
+        assert np.signbit(load_sparse_sim(buf).csr.data).tolist() == [True, False, True]
 
     @pytest.mark.parametrize("case", ["empty_rows", "no_nodes", "past_one_chunk", "repeats_across_chunks",
                                       "row_across_chunks", "signed_zeros", "tiny_scores"])
     def test_matches_per_line_writer(self, case):
         # the chunked writer must give the bytes of one f-string line per entry
         if case == "empty_rows":
-            s = SparseSim(n=5, k=3, indptr=[0, 2, 2, 3, 3, 6], cols=[0, 4, 2, 0, 3, 4],
-                          scores=[1.0, 1 / 3, 0.6, 1e-300, 0.0, 0.1], method="fixedpoint", c=0.6)
+            s = SparseSim.from_arrays(n=5, k=3, indptr=[0, 2, 2, 3, 3, 6], cols=[0, 4, 2, 0, 3, 4],
+                                      scores=[1.0, 1 / 3, 0.6, 1e-300, 0.0, 0.1], method="fixedpoint", c=0.6)
         elif case == "no_nodes":
-            s = SparseSim(n=0, k=1, indptr=[0], cols=[], scores=[], method="localpush", c=0.8)
+            s = SparseSim.from_arrays(n=0, k=1, indptr=[0], cols=[], scores=[], method="localpush", c=0.8)
         elif case == "signed_zeros":  # -0.0 and 0.0 are formatted apart: "-0" and "0"
-            s = SparseSim(n=3, k=3, indptr=[0, 3, 4, 6], cols=[0, 1, 2, 1, 0, 2],
-                          scores=[0.0, -0.0, 0.0, -0.0, 1.0, 0.0], method="custom", c=0.6)
+            s = SparseSim.from_arrays(n=3, k=3, indptr=[0, 3, 4, 6], cols=[0, 1, 2, 1, 0, 2],
+                                      scores=[0.0, -0.0, 0.0, -0.0, 1.0, 0.0], method="custom", c=0.6)
         elif case == "tiny_scores":  # the least subnormal and a tiny normal
-            s = SparseSim(n=2, k=2, indptr=[0, 2, 4], cols=[0, 1, 0, 1],
-                          scores=[5e-324, 1e-300, 1e-300, 5e-324], method="custom", c=0.6)
+            s = SparseSim.from_arrays(n=2, k=2, indptr=[0, 2, 4], cols=[0, 1, 0, 1],
+                                      scores=[5e-324, 1e-300, 1e-300, 5e-324], method="custom", c=0.6)
         elif case == "row_across_chunks":  # rows of 3 entries: the chunk boundary splits a row
             n = DUMP_CHUNK // 3 + 2
             rng = np.random.default_rng(2)
-            s = SparseSim(n=n, k=3, indptr=np.arange(n + 1) * 3, cols=np.tile([0, 1, 2], n),
-                          scores=rng.random(3 * n), method="localpush", c=0.6)
-            assert DUMP_CHUNK % 3 and DUMP_CHUNK < s.cols.size
+            s = SparseSim.from_arrays(n=n, k=3, indptr=np.arange(n + 1) * 3, cols=np.tile([0, 1, 2], n),
+                                      scores=rng.random(3 * n), method="localpush", c=0.6)
+            assert DUMP_CHUNK % 3 and DUMP_CHUNK < s.csr.nnz
         else:
             rng = np.random.default_rng(0)
             n, k = DUMP_CHUNK // 2, 6  # 3 entries per row on average: 1.5 chunks, some rows empty
@@ -440,8 +440,8 @@ class TestDumpLoad:
             scores = rng.random(cols.size)
             if case == "repeats_across_chunks":  # four scores, each on both sides of the boundary
                 scores = rng.choice([1.0, 0.6, 1 / 3, 0.1], size=cols.size)
-            s = SparseSim(n=n, k=k, indptr=np.concatenate([[0], np.cumsum(counts)]), cols=cols,
-                          scores=scores, method="localpush", c=0.6)
+            s = SparseSim.from_arrays(n=n, k=k, indptr=np.concatenate([[0], np.cumsum(counts)]), cols=cols,
+                                      scores=scores, method="localpush", c=0.6)
             assert DUMP_CHUNK < cols.size < 2 * DUMP_CHUNK
         got, want = io.StringIO(), io.StringIO()
         dump_sparse_sim(s, got)
@@ -458,8 +458,8 @@ class TestDumpLoad:
                                   min_size=1, max_size=4))
         scores = data.draw(st.lists(st.sampled_from(pool), min_size=sum(kept), max_size=sum(kept)))
         mask = np.array(kept).reshape(n, n)
-        s = SparseSim(n=n, k=n, indptr=np.concatenate([[0], np.cumsum(mask.sum(axis=1))]),
-                      cols=np.nonzero(mask)[1], scores=scores, method="custom", c=0.6)
+        s = SparseSim.from_arrays(n=n, k=n, indptr=np.concatenate([[0], np.cumsum(mask.sum(axis=1))]),
+                                  cols=np.nonzero(mask)[1], scores=scores, method="custom", c=0.6)
         got, want = io.StringIO(), io.StringIO()
         with mock.patch.object(simrank, "DUMP_CHUNK", data.draw(st.integers(1, 8))):
             dump_sparse_sim(s, got)
@@ -471,9 +471,15 @@ def dump_per_line(s, sink):
     """The dump written one f-string line per entry, the reference for the chunked writer."""
     sink.write(f"{s.n} {s.k} {s.c:.17g} {s.method}\n")
     for u in range(s.n):
-        cols, scores = s.row(u)
+        cols, scores = row(s, u)
         for v, score in zip(cols.tolist(), scores.tolist()):
             sink.write(f"{u} {v} {score:.17g}\n")
+
+
+def row(s, u):
+    """Row u of a SparseSim's CSR: its column ids and its scores."""
+    lo, hi = s.csr.indptr[u], s.csr.indptr[u + 1]
+    return s.csr.indices[lo:hi], s.csr.data[lo:hi]
 
 
 def past_one_block():

@@ -92,14 +92,15 @@ def outcome(reader, text):
     except Exception as exc:  # the error itself is the outcome compared
         return type(exc), str(exc)
     if isinstance(result, SparseSim):
-        return result.n, result.k, result.c, result.method, arrays(result.indptr, result.cols, result.scores)
+        csr = result.csr
+        return result.n, result.k, result.c, result.method, arrays(csr.indptr, csr.indices, csr.data)
     if isinstance(result, graph.Graph):
         return result.n, result.m, arrays(result.offsets, result.neighbors, result.degrees)
     return arrays(result)
 
 
 def arrays(*arrs):
-    return [(a.dtype.str, a.shape, a.flags.c_contiguous, a.view(np.int64).tobytes()) for a in arrs]
+    return [(a.dtype.str, a.shape, a.flags.c_contiguous, a.tobytes()) for a in arrs]
 
 
 def line_loop_only():
@@ -180,8 +181,8 @@ def write_inputs(d):
     (d / "edges_header.txt").write_text("# u v\n\n  # second header line\n" + (d / "edges.txt").read_text())
     np.savetxt(d / "features.txt", rng.normal(size=(50, 3)))
     np.savetxt(d / "labels.txt", rng.integers(0, 4, size=50), fmt="%d")
-    sim = SparseSim(n=3, k=2, indptr=[0, 2, 3, 4], cols=[0, 2, 1, 2],
-                    scores=[1.0, 0.25, 1.0, 1.0], method="fixedpoint", c=0.6)
+    sim = SparseSim.from_arrays(n=3, k=2, indptr=[0, 2, 3, 4], cols=[0, 2, 1, 2],
+                                scores=[1.0, 0.25, 1.0, 1.0], method="fixedpoint", c=0.6)
     with open(d / "sim.txt", "w") as fh:
         dump_sparse_sim(sim, fh)
 
