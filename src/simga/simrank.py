@@ -11,8 +11,8 @@ The fixed point starts from S = I as CSR and every step is a pair of sparse
 products, so a step costs work in the entries S holds, not in n^2: on the
 benchmark's ring graph (n = 2,992) S ends with 2.8 % of its entries nonzero.
 On a graph where S fills, a sparse step costs about twice a dense one. The
-fixed point checks S on its CSR, in O(nnz), and only then makes it a dense
-n x n SimMatrix, whose own check refuses non-finite entries alone.
+fixed point checks S on its CSR, in O(nnz), and returns that CSR as a
+SimMatrix (whose own check refuses non-finite entries alone) for topk_prune.
 
 The push is level-synchronous (Jacobi order): it keeps a walk-mass sum E and a
 residual R, both sparse n x n, from E = 0 and R = I. Each round commits every
@@ -36,8 +36,8 @@ ring graph and 6.9e-18 on a 40000-node uniform graph of degree 8.
 The top-k similarity the model consumes comes from model.precompute_similarity
 alone: topk_prune over the fixed point, or topk_from_push over the push. Each
 returns a SparseSim: one canonical n x n CSR (per row at most k entries, columns
-ascending) plus k, method and c. Dense similarity matrices are only allowed up
-to DENSE_LIMIT nodes; past that only the push + top-k sparse route is available.
+ascending) plus k, method and c. The exact S can fill to n^2 entries, so it and
+the dense oracles stop at DENSE_LIMIT nodes; past that only push + top-k runs.
 """
 
 from __future__ import annotations
@@ -88,28 +88,33 @@ def _check_eps(eps: float) -> None:
 def _dense_guard(n: int, what: str) -> None:
     if n > DENSE_LIMIT:
         raise GuardError(
-            f"{what} needs a dense {n}x{n} matrix; the dense path is limited to "
+            f"{what} can hold {n}x{n} entries; it is limited to "
             f"n <= {DENSE_LIMIT}. Use the push + top-k sparse route instead."
         )
 
 
 @dataclass
 class SimMatrix:
-    """Dense all-pairs similarity and provenance; refuses non-finite entries (the fixed point checks more)."""
+    """S as a canonical n x n CSR plus provenance; refuses non-finite entries (the fixed point checks more)."""
 
-    values: np.ndarray
+    csr: sp.csr_matrix
     method: str
     c: float
     iterations: int | None = None
 
     def __post_init__(self) -> None:
-        v = self.values = np.asarray(self.values, dtype=np.float64)
-        if v.size and not (np.isfinite(v.min()) and np.isfinite(v.max())):  # NaN reaches both
+        lo, hi = self.csr.data.min(initial=0.0), self.csr.data.max(initial=0.0)  # NaN reaches both
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise NumericError("similarity matrix has non-finite entries")
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self.csr.shape[0]
+
+    @property
+    def values(self) -> np.ndarray:
+        _dense_guard(self.n, "dense similarity view")
+        return self.csr.toarray()  # a fresh n x n array on every read
 
 
 class PairMatrix(sp.csr_matrix):
@@ -161,6 +166,8 @@ class SparseSim:
             raise InputFormatError("non-finite score")
         if lo < 0.0:
             raise InputFormatError("scores must be nonnegative")
+        if not (0.0 < self.c < 1.0):  # NaN fails both
+            raise InputFormatError(f"decay factor must lie in (0, 1), got {self.c}")
 
     @classmethod
     def from_arrays(cls, n: int, k: int, indptr, cols, scores, method: str, c: float) -> SparseSim:
@@ -213,7 +220,7 @@ def simrank_fixedpoint(g: Graph, c: float, iterations: int) -> SimMatrix:
 
     S is refused unless finite (checked first, so a NaN reads as non-finite),
     symmetric within 1e-12, inside [0, 1] and 1 on its diagonal; then its
-    rounding asymmetry (<= 1 ulp) is shaved and it is returned dense. Rows and
+    rounding asymmetry (<= 1 ulp) is shaved and that CSR is returned. Rows and
     columns of isolated nodes stay zero off-diagonal. Converges at rate c.
     """
     _check_decay(c)
@@ -231,7 +238,7 @@ def simrank_fixedpoint(g: Graph, c: float, iterations: int) -> SimMatrix:
         s.data *= c
         s = s - sp.diags(s.diagonal())
         s = s + eye  # diagonal exactly 1, stored or not before
-    return SimMatrix(values=_checked_symmetric(s).toarray(), method="fixedpoint", c=c, iterations=iterations)
+    return SimMatrix(_checked_symmetric(s), method="fixedpoint", c=c, iterations=iterations)
 
 
 def simrank_power_series(g: Graph, c: float, terms: int) -> SimMatrix:
@@ -247,7 +254,7 @@ def simrank_power_series(g: Graph, c: float, terms: int) -> SimMatrix:
     for _ in range(terms):
         term = c * ((p @ term) @ pt)
         acc += term
-    return SimMatrix(values=acc, method="power_series", c=c, iterations=terms)
+    return SimMatrix(sp.csr_matrix(acc), method="power_series", c=c, iterations=terms)
 
 
 def simrank_localpush(g: Graph, c: float, eps: float) -> PushMatrix:
@@ -314,13 +321,8 @@ def _topk(s: sp.csr_matrix, k: int, method: str, c: float) -> SparseSim:
 
 
 def topk_prune(s: SimMatrix, k: int) -> SparseSim:
-    """Keep the k largest nonzero entries of each row (ties -> smaller column id)."""
-    n = s.n
-    cols = np.flatnonzero(s.values)  # flat indices, row-major, so in CSR order
-    vals = s.values.ravel()[cols]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols // n, minlength=n))])
-    cols %= n
-    return _topk(sp.csr_matrix((vals, cols, indptr), shape=(n, n)), k, s.method, s.c)
+    """Keep the k largest nonzero entries of each row (ties -> smaller column id); s is left as it is."""
+    return _topk(s.csr.copy(), k, s.method, s.c)
 
 
 def topk_from_push(push: PushMatrix, k: int) -> SparseSim:

@@ -117,4 +117,4 @@ def simrank_series(g: Graph, c: float, terms: int) -> SimMatrix:
         acc += weight * meet
         np.fill_diagonal(meet, 0.0)  # pairs that met now are done
     np.fill_diagonal(acc, 1.0)
-    return SimMatrix(values=acc, method="walk_series", c=c, iterations=terms)
+    return SimMatrix(sp.csr_matrix(acc), method="walk_series", c=c, iterations=terms)

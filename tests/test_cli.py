@@ -360,7 +360,7 @@ class TestMalformedInputs:
                    "depth_float", "width_list", "sim_negative_n", "version_not_int", "hyperparams_list",
                    "width_mismatch", "bias_2d", "object_array", "sim_float_columns", "sim_other_n",
                    "sim_longer_than_indptr", "sim_indptr_decreasing", "sim_columns_unsorted", "sim_nan_score",
-                   "sim_row_over_k"]
+                   "sim_row_over_k", "sim_c_nan"]
     )
     def test_bad_checkpoint(self, fixture_dir, capsys, damage):
         d = fixture_dir
@@ -421,6 +421,9 @@ class TestMalformedInputs:
             k = int(np.diff(arrays["sim.indptr"]).max()) - 1
             assert k >= 1
             arrays["__similarity__"] = np.str_(json.dumps({**provenance, "k": k}))
+        elif damage == "sim_c_nan":  # json writes the non-JSON token NaN
+            provenance = json.loads(str(arrays["__similarity__"]))
+            arrays["__similarity__"] = np.str_(json.dumps({**provenance, "c": float("nan")}))
         path = d / "bad.npz"
         if damage == "not_npz":
             path.write_bytes(b"not a checkpoint\n")
@@ -443,6 +446,7 @@ class TestMalformedInputs:
             "sim_columns_unsorted": "columns not strictly ascending within a row",
             "sim_nan_score": "non-finite score",
             "sim_row_over_k": "row holds more than k=",
+            "sim_c_nan": "decay factor must lie in (0, 1), got nan",
         }.get(damage, "") in err
 
     def test_eval_on_another_node_count(self, tmp_path, capsys):

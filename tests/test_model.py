@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from simga.data import gen_structural_heterophily, gen_twin_graph
 from simga.errors import DivergenceError, InputFormatError, ParameterError
@@ -47,7 +48,7 @@ def quick_hp(**kw):
 
 
 def identity_sim(n):
-    return topk_prune(SimMatrix(values=np.eye(n), method="custom", c=0.6), 1)
+    return topk_prune(SimMatrix(sp.csr_matrix(np.eye(n)), method="custom", c=0.6), 1)
 
 
 class TestHyperParams:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simga import simrank
+from simga.data import gen_structural_heterophily
 from simga.errors import GuardError, InputFormatError, NumericError, ParameterError
 from simga.graph import build_graph, random_graph, transition
 from simga.model import HyperParams, precompute_similarity
@@ -221,6 +222,20 @@ class TestProduction:
         with pytest.raises(GuardError, match="top-k"):
             precompute_similarity(g, HyperParams(eps=0.1, sim_mode="exact"))
 
+    def test_exact_route_builds_no_dense_matrix(self):
+        # S stays one CSR from the fixed point through top-k; a dense S alone
+        # would trace 8 n^2 bytes
+        g = gen_structural_heterophily(0, 3000, 4).graph
+        hp = HyperParams(sim_mode="exact", eps=0.1, k=1024)
+        precompute_similarity(g, hp)  # warm: first-call set-up is not the route's
+        tracemalloc.start()
+        try:
+            precompute_similarity(g, hp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * g.n * g.n / 2
+
 
 class TestTopkPrune:
     def test_k_at_least_n_keeps_all_nonzeros(self):
@@ -239,7 +254,7 @@ class TestTopkPrune:
 
     def test_ties_go_to_smaller_column(self):
         values = np.array([[0.2, 0.5, 0.5], [0.5, 0.2, 0.5], [0.1, 0.1, 0.1]])
-        s = SimMatrix(values=values, method="custom", c=0.6)
+        s = SimMatrix(sp.csr_matrix(values), method="custom", c=0.6)
         pruned = topk_prune(s, 1)
         assert row(pruned, 0)[0].tolist() == [1]
         assert row(pruned, 1)[0].tolist() == [0]
@@ -289,7 +304,7 @@ class TestTopkPrune:
         raw = simrank_localpush(g, 0.6, 0.02)
         values = raw.estimate.toarray()  # the push estimate with a unit diagonal
         np.fill_diagonal(values, 1.0)
-        dense = SimMatrix(values=values, method="localpush", c=0.6)
+        dense = SimMatrix(sp.csr_matrix(values), method="localpush", c=0.6)
         for k in (1, 3, 10, 40):
             a = topk_from_push(raw, k).densify()
             b = topk_prune(dense, k).densify()
@@ -318,7 +333,7 @@ class TestTopkPrune:
 
 class TestSparseAggregate:
     def test_identity_aggregation(self):
-        s = SimMatrix(values=np.eye(6), method="custom", c=0.6)
+        s = SimMatrix(sp.csr_matrix(np.eye(6)), method="custom", c=0.6)
         pruned = topk_prune(s, 3)
         h = np.random.default_rng(0).normal(size=(6, 4))
         assert np.array_equal(sparse_aggregate(pruned, h), h)
@@ -506,19 +521,20 @@ class TestSimMatrixValidation:
             cases.append(big)
         for values in cases:
             with pytest.raises(NumericError, match="non-finite"):
-                SimMatrix(values=values, method="custom", c=0.6)
+                SimMatrix(sp.csr_matrix(values), method="custom", c=0.6)
 
     def test_checks_build_no_matrix_sized_temporary(self):
-        # the symmetry check works in blocks and finiteness reads min and max,
-        # so building a fixed-point SimMatrix traces a small share of its bytes
+        # the refusal reads the min and max of the CSR's stored entries, so
+        # building a SimMatrix traces a small share of the dense S's bytes
         n = 2000
         rng = np.random.default_rng(0)
         values = rng.random((n, n))
         values = np.minimum(values, values.T)
         np.fill_diagonal(values, 1.0)
+        csr = sp.csr_matrix(values)
         tracemalloc.start()
         try:
-            SimMatrix(values=values, method="fixedpoint", c=0.6)
+            SimMatrix(csr, method="fixedpoint", c=0.6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

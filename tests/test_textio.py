@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from simga import data, graph, simrank, textio
 from simga.data import load_features, load_labels, load_split
+from simga.errors import InputFormatError
 from simga.graph import load_edge_list
 from simga.simrank import SparseSim, dump_sparse_sim, load_sparse_sim
 
@@ -172,6 +173,14 @@ class TestFastParseMatchesLineLoop:
         os.close(w)
         with open(r) as fh:
             assert load_edge_list(fh).m == 2
+
+
+@pytest.mark.parametrize("c", ["nan", "0", "1", "inf", "-0.5"])
+def test_dump_header_decay_outside_unit_interval_refused(c):
+    text = f"2 2 {c} localpush\n0 0 1\n1 1 1\n"
+    with pytest.raises(InputFormatError, match=rf"decay factor must lie in \(0, 1\), got {c}"):
+        load_sparse_sim(io.StringIO(text))
+    check_same(load_sparse_sim, text)
 
 
 def write_inputs(d):
