@@ -74,7 +74,6 @@ def run_bench(
 
         params = init_params(rng, bundle.num_features, n, bundle.num_classes, hp)
         state = adam_init(params.arrays())
-        bundle.graph.adjacency_csr()  # build outside the timed region, as fit would
         t0 = time.perf_counter()
         _train_step(bundle, sim, params, hp, state, rng)  # the step fit runs each epoch
         epoch_seconds = time.perf_counter() - t0

@@ -1,16 +1,16 @@
 """Undirected sparse graph container, ingestion, and the random-walk transition matrix.
 
-Graphs are stored CSR-style (offsets + concatenated sorted neighbor lists).
-They are plain containers: immutable by convention after construction, safe to
-share across threads. Self-loops are dropped and duplicate edges collapsed at
-ingestion; node ids are dense 0-based integers and are never remapped, so gaps
-in the id range become isolated nodes.
+A graph is its binary adjacency: one canonical CSR with sorted neighbor lists.
+Graphs are plain containers: immutable by convention after construction, safe
+to share across threads. Self-loops are dropped and duplicate edges collapsed
+at ingestion; node ids are dense 0-based integers and are never remapped, so
+gaps in the id range become isolated nodes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable
 
 import numpy as np
@@ -32,65 +32,63 @@ __all__ = [
 
 @dataclass
 class Graph:
-    """Symmetric, self-loop-free graph over nodes 0..n-1.
+    """Symmetric, self-loop-free graph over nodes 0..n-1, held as its adjacency.
 
-    offsets has length n+1 with offsets[-1] == 2*m; neighbors(u) is the
-    strictly increasing slice neighbors[offsets[u]:offsets[u+1]].
+    adj is an n x n CSR of stored 1s that equals its transpose; neighbors(u) is
+    the strictly increasing slice adj.indices[adj.indptr[u]:adj.indptr[u+1]].
     """
 
-    n: int
-    m: int
-    offsets: np.ndarray
-    neighbors: np.ndarray
-    degrees: np.ndarray
-    _adj_csr: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
+    adj: sp.csr_matrix
 
     def __post_init__(self) -> None:
-        self.offsets = np.asarray(self.offsets, dtype=np.int64)
-        self.neighbors = np.asarray(self.neighbors, dtype=np.int64)
-        self.degrees = np.asarray(self.degrees, dtype=np.int64)
-        _check_invariants(self)
+        _check_invariants(self.adj)
+
+    @property
+    def n(self) -> int:
+        return self.adj.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.adj.nnz // 2
+
+    @property
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.adj.indptr)
 
     def neighbor_slice(self, u: int) -> np.ndarray:
-        return self.neighbors[self.offsets[u] : self.offsets[u + 1]]
+        return self.adj.indices[self.adj.indptr[u] : self.adj.indptr[u + 1]]
 
     def adjacency_csr(self) -> sp.csr_matrix:
-        """Binary adjacency matrix as float64 CSR (built once, then cached)."""
-        if self._adj_csr is None:
-            data = np.ones(len(self.neighbors), dtype=np.float64)
-            self._adj_csr = sp.csr_matrix(
-                (data, self.neighbors.copy(), self.offsets.copy()), shape=(self.n, self.n)
-            )
-        return self._adj_csr
+        """The binary adjacency matrix itself, not a copy."""
+        return self.adj
 
 
-def _check_invariants(g: Graph) -> None:
-    if g.offsets.shape != (g.n + 1,):
-        raise InputFormatError("offsets must have length n+1")
-    if g.offsets[0] != 0 or g.offsets[-1] != 2 * g.m:
-        raise InputFormatError("offsets must start at 0 and end at 2m")
-    if np.any(np.diff(g.offsets) < 0):
-        raise InputFormatError("offsets must be monotone nondecreasing")
-    if not np.array_equal(np.diff(g.offsets), g.degrees):
-        raise InputFormatError("degrees inconsistent with offsets")
-    if int(g.degrees.sum()) != 2 * g.m:
-        raise InputFormatError("degree sum must equal 2m")
-    if len(g.neighbors) and (g.neighbors.min() < 0 or g.neighbors.max() >= g.n):
+def _check_invariants(adj: sp.csr_matrix) -> None:
+    n = adj.shape[0]
+    if adj.shape != (n, n):
+        raise InputFormatError(f"adjacency must be square, got shape {adj.shape}")
+    degrees = np.diff(adj.indptr)
+    if np.any(degrees < 0):
+        raise InputFormatError("adjacency indptr must be nondecreasing")
+    nbrs = adj.indices
+    if nbrs.size and (nbrs.min() < 0 or nbrs.max() >= n):
         raise InputFormatError("neighbor id out of range")
+    if np.any(adj.data != 1.0):
+        raise InputFormatError("adjacency values must all be 1")
     # the first node, by id, whose list is out of order or holds itself; out of
     # order is reported first when one node has both
-    owner = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
-    unordered = owner[1:][(owner[1:] == owner[:-1]) & (np.diff(g.neighbors) <= 0)]
-    looped = owner[g.neighbors == owner]
-    u_order = int(unordered[0]) if unordered.size else g.n
-    u_loop = int(looped[0]) if looped.size else g.n
-    if u_order < g.n and u_order <= u_loop:
+    owner = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    unordered = owner[1:][(owner[1:] == owner[:-1]) & (np.diff(nbrs) <= 0)]
+    looped = owner[nbrs == owner]
+    u_order = int(unordered[0]) if unordered.size else n
+    u_loop = int(looped[0]) if looped.size else n
+    if u_order < n and u_order <= u_loop:
         raise InputFormatError(f"neighbor list of node {u_order} not strictly increasing")
-    if u_loop < g.n:
+    if u_loop < n:
         raise InputFormatError(f"self-loop at node {u_loop}")
-    # symmetry: u in N(v) iff v in N(u)
-    a = g.adjacency_csr()
-    if abs(a - a.T).nnz != 0:
+    # symmetry: u in N(v) iff v in N(u); A^T as CSR lists each row in order too
+    t = adj.T.tocsr()
+    if not (np.array_equal(adj.indptr, t.indptr) and np.array_equal(nbrs, t.indices)):
         raise InputFormatError("adjacency not symmetric")
 
 
@@ -103,7 +101,7 @@ def build_graph(n: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> Graph:
 
     `edges` is an (m, 2) integer array or an iterable of pairs, with ids in
     [0, n). Each edge is keyed once as min*n + max; the unique keys, mirrored
-    and sorted, are the CSR in (node, neighbor) order.
+    and sorted, are the adjacency's entries in (node, neighbor) order.
     """
     pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
     pairs = pairs.reshape(len(pairs), 2)
@@ -123,14 +121,13 @@ def build_graph(n: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> Graph:
     first = np.ones(keys.size, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     keys = keys[first]
-    m = keys.size
     lo, hi = np.divmod(keys, n)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n), out=offsets[1:])
     both = np.concatenate([keys, hi * n + lo])
     both.sort()
-    src, dst = np.divmod(both, n)
-    degrees = np.bincount(src, minlength=n).astype(np.int64)
-    offsets = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
-    return Graph(n=n, m=m, offsets=offsets, neighbors=dst, degrees=degrees)
+    dst = np.remainder(both, n, out=both)
+    return Graph(sp.csr_matrix((np.ones(dst.size), dst, offsets), shape=(n, n)))
 
 
 def load_edge_list(source: IO[str]) -> Graph:
@@ -151,14 +148,14 @@ def node_homophily(g: Graph, labels: np.ndarray) -> float:
     labels = np.asarray(labels)
     if labels.shape != (g.n,):
         raise ParameterError(f"labels must have length {g.n}")
-    active = g.degrees > 0
+    degrees = g.degrees
+    active = degrees > 0
     if not active.any():
         raise ParameterError("homophily undefined: all nodes isolated")
-    rep = np.repeat(np.arange(g.n), g.degrees)
-    same = (labels[rep] == labels[g.neighbors]).astype(np.float64)
-    sums = np.zeros(g.n)
-    np.add.at(sums, rep, same)
-    return float((sums[active] / g.degrees[active]).mean())
+    rep = np.repeat(np.arange(g.n), degrees)
+    same = labels[rep] == labels[g.adj.indices]
+    sums = np.bincount(rep, weights=same, minlength=g.n)  # sums of 0/1 weights are exact
+    return float((sums[active] / degrees[active]).mean())
 
 
 def transition(g: Graph) -> sp.csr_matrix:
@@ -166,11 +163,11 @@ def transition(g: Graph) -> sp.csr_matrix:
 
     Rows of isolated nodes are all-zero (walk mass is absorbed there).
     """
-    inv_degree = np.zeros(g.n)
-    nz = g.degrees > 0
-    inv_degree[nz] = 1.0 / g.degrees[nz]
-    data = np.repeat(inv_degree, g.degrees)
-    return sp.csr_matrix((data, g.neighbors.copy(), g.offsets.copy()), shape=(g.n, g.n))
+    deg = g.degrees
+    deg = deg[deg > 0]  # an isolated node's row holds no entry
+    data = np.repeat(1.0 / deg, deg)
+    # copies of the index arrays, so P never aliases A
+    return sp.csr_matrix((data, g.adj.indices.copy(), g.adj.indptr.copy()), shape=(g.n, g.n))
 
 
 def random_graph(
@@ -196,10 +193,7 @@ def random_graph(
     edges: set[tuple[int, int]] = set()
     _add_random_edges(rng, n, edges, min(int(round(avg_degree * n / 2.0)), n * (n - 1) // 2))
     if min_degree > 0:
-        deg = np.zeros(n, dtype=np.int64)
-        for u, v in edges:
-            deg[u] += 1
-            deg[v] += 1
+        deg = np.bincount(np.array(list(edges), dtype=np.int64).ravel(), minlength=n)
         for u in range(n):
             while deg[u] < min_degree:
                 v = int(rng.integers(0, n))

@@ -172,9 +172,10 @@ def softmax_cross_entropy(
     sub = logits[idx]
     y = np.asarray(labels)[idx]
     z = sub - sub.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(z).sum(axis=1))
-    loss = float(np.mean(log_norm - z[np.arange(idx.size), y]))
-    probs = softmax_rows(sub)
+    e = np.exp(z)
+    norm = e.sum(axis=1)
+    loss = float(np.mean(np.log(norm) - z[np.arange(idx.size), y]))
+    probs = np.divide(e, norm[:, None], out=e)  # softmax_rows(sub), from the same exp(z)
     probs[np.arange(idx.size), y] -= 1.0
     grad = np.zeros_like(logits)
     grad[idx] = probs / idx.size

@@ -241,8 +241,8 @@ def simrank_fixedpoint(g: Graph, c: float, iterations: int) -> SimMatrix:
     return SimMatrix(_checked_symmetric(s), method="fixedpoint", c=c, iterations=iterations)
 
 
-def simrank_power_series(g: Graph, c: float, terms: int) -> SimMatrix:
-    """Truncated series sum_{k=0}^{terms} c^k P^k ((1-c) I) (P^T)^k, no diagonal pin."""
+def simrank_power_series(g: Graph, c: float, terms: int) -> np.ndarray:
+    """Truncated series sum_{k=0}^{terms} c^k P^k ((1-c) I) (P^T)^k, no diagonal pin, as a dense array."""
     _check_decay(c)
     if terms < 0:
         raise ParameterError("terms must be >= 0")
@@ -254,7 +254,7 @@ def simrank_power_series(g: Graph, c: float, terms: int) -> SimMatrix:
     for _ in range(terms):
         term = c * ((p @ term) @ pt)
         acc += term
-    return SimMatrix(sp.csr_matrix(acc), method="power_series", c=c, iterations=terms)
+    return acc
 
 
 def simrank_localpush(g: Graph, c: float, eps: float) -> PushMatrix:

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 
 from .errors import GuardError, ParameterError
 from .graph import Graph, transition
-from .simrank import SimMatrix, _check_decay, _dense_guard
+from .simrank import _check_decay, _dense_guard
 
 __all__ = [
     "walk_distribution",
@@ -92,7 +92,7 @@ def meeting_probability(p: sp.csr_matrix, u: int, v: int, length: int) -> float:
     return float(walk_distribution(p, u, length) @ walk_distribution(p, v, length))
 
 
-def simrank_series(g: Graph, c: float, terms: int) -> SimMatrix:
+def simrank_series(g: Graph, c: float, terms: int) -> np.ndarray:
     """Truncated first-meeting series sum_{l=1}^{terms} c^l G_l, diagonal pinned to 1.
 
     G_l(u, v) is the probability that l-step walks from u and v first meet at
@@ -117,4 +117,4 @@ def simrank_series(g: Graph, c: float, terms: int) -> SimMatrix:
         acc += weight * meet
         np.fill_diagonal(meet, 0.0)  # pairs that met now are done
     np.fill_diagonal(acc, 1.0)
-    return SimMatrix(sp.csr_matrix(acc), method="walk_series", c=c, iterations=terms)
+    return acc

@@ -93,7 +93,7 @@ def test_criterion_2_series_vs_fixed_point():
     for _ in range(20):
         n = int(rng.integers(8, 51))
         g = random_connected_graph(n, extra_edges=n, seed=int(rng.integers(0, 2**31)))
-        series = simrank_series(g, C, 25).values
+        series = simrank_series(g, C, 25)
         fixed = simrank_fixedpoint(g, C, 50).values
         off = ~np.eye(n, dtype=bool)
         worst = max(worst, float(np.abs(series - fixed)[off].max()))
@@ -119,7 +119,7 @@ def test_criterion_3_localpush_correctness():
             raw = simrank_localpush(g, C, eps)
             if raw.max_residual() > (1 - C) * eps:
                 guard_ok = False
-            series = simrank_power_series(g, C, 50).values
+            series = simrank_power_series(g, C, 50)
             gap = float(np.abs(raw.estimate.toarray() - series).max())
             worst_ratio = max(worst_ratio, gap / eps)
     elapsed = time.perf_counter() - t0

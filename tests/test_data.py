@@ -70,7 +70,7 @@ class TestTwinGraph:
         b, _ = gen_twin_graph(base_seed=9, twin_pairs=2)
         assert a.features.tobytes() == b.features.tobytes()
         assert a.labels.tolist() == b.labels.tolist()
-        assert a.graph.neighbors.tolist() == b.graph.neighbors.tolist()
+        assert a.graph.adj.indices.tolist() == b.graph.adj.indices.tolist()
         assert a.train_idx.tolist() == b.train_idx.tolist()
 
 
@@ -83,7 +83,7 @@ class TestStructuralHeterophily:
         a = gen_structural_heterophily(seed=3, n=120, classes=3)
         b = gen_structural_heterophily(seed=3, n=120, classes=3)
         assert a.features.tobytes() == b.features.tobytes()
-        assert a.graph.neighbors.tolist() == b.graph.neighbors.tolist()
+        assert a.graph.adj.indices.tolist() == b.graph.adj.indices.tolist()
         assert a.test_idx.tolist() == b.test_idx.tolist()
 
     @pytest.mark.parametrize("n,classes", [(400, 2), (120, 3), (64, 4)])

@@ -1,11 +1,17 @@
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simga.errors import InputFormatError, ParameterError
 from simga.graph import (
+    Graph,
     build_graph,
+    load_edge_list,
     node_homophily,
     random_connected_graph,
     random_graph,
@@ -15,11 +21,25 @@ from simga.graph import (
 from conftest import graph_from_text
 
 
+def adjacency(lists, value=1.0):
+    """CSR whose row u holds `value` at each id of lists[u], in the order given."""
+    degrees = [len(nb) for nb in lists]
+    return sp.csr_matrix(
+        (
+            np.full(sum(degrees), value),
+            np.array([v for nb in lists for v in nb], dtype=np.int64),
+            np.concatenate([[0], np.cumsum(degrees)]),
+        ),
+        shape=(len(lists), len(lists)),
+    )
+
+
 class TestLoadEdgeList:
     def test_path_graph(self):
         g = graph_from_text("0 1\n1 2")
         assert (g.n, g.m) == (3, 2)
         assert g.neighbor_slice(1).tolist() == [0, 2]
+        assert g.adjacency_csr() is g.adj
 
     def test_duplicate_and_self_loop_collapsed(self):
         g = graph_from_text("0 1\n1 0\n0 0")
@@ -65,8 +85,8 @@ class TestBuildGraph:
         pairs = [(2, 0), (0, 2), (1, 1), (3, 1), (0, 1)]
         a, b = build_graph(5, pairs), build_graph(5, np.array(pairs))
         assert (a.n, a.m) == (b.n, b.m) == (5, 3)
-        assert a.neighbors.tolist() == b.neighbors.tolist() == [1, 2, 0, 3, 0, 1]
-        assert a.offsets.tolist() == b.offsets.tolist() == [0, 2, 4, 5, 6, 6]
+        assert a.adj.indices.tolist() == b.adj.indices.tolist() == [1, 2, 0, 3, 0, 1]
+        assert a.adj.indptr.tolist() == b.adj.indptr.tolist() == [0, 2, 4, 5, 6, 6]
 
 
 class TestGraphInvariants:
@@ -74,7 +94,7 @@ class TestGraphInvariants:
     def test_random_graph_structure(self, seed):
         g = random_graph(40, avg_degree=5, seed=seed)
         assert int(g.degrees.sum()) == 2 * g.m
-        assert g.offsets[-1] == 2 * g.m
+        assert g.adj.indptr[-1] == 2 * g.m
         for u in range(g.n):
             nb = g.neighbor_slice(u)
             assert np.all(np.diff(nb) > 0)
@@ -109,29 +129,39 @@ class TestGraphInvariants:
         ],
     )
     def test_bad_neighbor_list_names_the_first_node(self, lists, message):
-        from simga.graph import Graph
-
-        degrees = np.array([len(nb) for nb in lists])
         with pytest.raises(InputFormatError, match=f"^{message}$"):
-            Graph(
-                n=len(lists),
-                m=int(degrees.sum()) // 2,
-                offsets=np.concatenate([[0], np.cumsum(degrees)]),
-                neighbors=np.array([v for nb in lists for v in nb]),
-                degrees=degrees,
-            )
+            Graph(adjacency(lists))
 
     def test_asymmetric_input_rejected(self):
-        from simga.graph import Graph
-
         with pytest.raises(InputFormatError):
-            Graph(
-                n=2,
-                m=1,
-                offsets=np.array([0, 1, 2]),
-                neighbors=np.array([1, 1]),  # node 1 lists itself
-                degrees=np.array([1, 1]),
-            )
+            Graph(adjacency([[1], [1]]))  # node 1 lists itself
+
+    @pytest.mark.parametrize(
+        "adj,message",
+        [
+            (sp.csr_matrix((2, 3)), r"adjacency must be square, got shape \(2, 3\)"),
+            (adjacency([[1], [0]], value=2.0), "adjacency values must all be 1"),
+            (adjacency([[1], [0]], value=0.0), "adjacency values must all be 1"),
+            (adjacency([[1], []]), "adjacency not symmetric"),
+        ],
+    )
+    def test_malformed_adjacency_rejected(self, adj, message):
+        with pytest.raises(InputFormatError, match=f"^{message}$"):
+            Graph(adj)
+
+    def test_loaded_graph_holds_only_its_adjacency(self):
+        g = random_graph(20000, avg_degree=8, seed=0)
+        text = "\n".join(
+            f"{u} {v}" for u in range(g.n) for v in g.neighbor_slice(u).tolist() if u < v
+        )
+        tracemalloc.start()
+        try:
+            loaded = load_edge_list(io.StringIO(text))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        adj = loaded.adj
+        assert held <= 1.1 * (adj.data.nbytes + adj.indices.nbytes + adj.indptr.nbytes)
 
 
 class TestNodeHomophily:

@@ -120,20 +120,20 @@ class TestFixedPointAgainstDenseLoop:
 class TestPowerSeries:
     def test_zero_terms(self, triangle):
         s = simrank_power_series(triangle, 0.6, 0)
-        assert np.allclose(s.values, 0.4 * np.eye(3))
+        assert np.allclose(s, 0.4 * np.eye(3))
 
     def test_entries_nondecreasing_in_terms(self):
         g = random_graph(25, avg_degree=4, seed=5)
-        prev = simrank_power_series(g, 0.6, 2).values
+        prev = simrank_power_series(g, 0.6, 2)
         for terms in (5, 10, 20):
-            cur = simrank_power_series(g, 0.6, terms).values
+            cur = simrank_power_series(g, 0.6, terms)
             assert np.all(cur >= prev - 1e-15)
             prev = cur
 
     def test_star_gap_to_fixed_point_is_real_and_measured(self, star2):
         # the series and the pinned fixed point are distinct objects; the gap
         # on a 2-leaf star is ~0.1125 and is recorded, not asserted equal
-        series = simrank_power_series(star2, 0.6, 20).values
+        series = simrank_power_series(star2, 0.6, 20)
         fixed = simrank_fixedpoint(star2, 0.6, 20).values
         gap = abs(series[0, 2] - fixed[0, 2])
         assert 0.05 < gap < 0.2
@@ -162,7 +162,7 @@ class TestLocalPush:
         eps = 0.05
         g = random_graph(40 + 7 * seed, avg_degree=6, seed=seed, min_degree=2)
         raw = simrank_localpush(g, 0.6, eps)
-        series = simrank_power_series(g, 0.6, 50).values
+        series = simrank_power_series(g, 0.6, 50)
         assert np.abs(raw.estimate.toarray() - series).max() <= eps
 
     def test_estimate_symmetric_within_pop_threshold(self):
@@ -181,7 +181,7 @@ class TestLocalPush:
         perm = np.random.default_rng(4).permutation(g.n)  # node u of g is node perm[u] of h
         edges = [(u, v) for u in range(g.n) for v in g.neighbor_slice(u).tolist() if u < v]
         h = build_graph(g.n, [(perm[u], perm[v]) for u, v in edges])
-        series = simrank_power_series(g, 0.6, 50).values
+        series = simrank_power_series(g, 0.6, 50)
         a = simrank_localpush(g, 0.6, eps)
         b = simrank_localpush(h, 0.6, eps)
         back = np.ix_(perm, perm)

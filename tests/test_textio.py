@@ -96,7 +96,7 @@ def outcome(reader, text):
         csr = result.csr
         return result.n, result.k, result.c, result.method, arrays(csr.indptr, csr.indices, csr.data)
     if isinstance(result, graph.Graph):
-        return result.n, result.m, arrays(result.offsets, result.neighbors, result.degrees)
+        return result.n, result.m, arrays(result.adj.indptr, result.adj.indices, result.adj.data)
     return arrays(result)
 
 

@@ -112,7 +112,7 @@ class TestWalkSeries:
         g = graph_from_text("0 1")
         for terms in (1, 5, 20):
             s = simrank_series(g, 0.6, terms)
-            assert s.values[0, 1] == 0.0
+            assert s[0, 1] == 0.0
         fp = simrank_fixedpoint(g, 0.6, 20)
         assert fp.values[0, 1] == 0.0  # matches the fixed point here
 
@@ -120,16 +120,16 @@ class TestWalkSeries:
         c = 0.6
         g = random_connected_graph(20, extra_edges=15, seed=3)
         for terms in (3, 8, 15):
-            a = simrank_series(g, c, terms).values
-            b = simrank_series(g, c, terms + 10).values
+            a = simrank_series(g, c, terms)
+            b = simrank_series(g, c, terms + 10)
             bound = c ** (terms + 1) / (1 - c)
             assert np.abs(a - b).max() <= bound + 1e-12
 
     def test_entries_nondecreasing_in_terms(self):
         g = random_connected_graph(15, extra_edges=10, seed=1)
-        prev = simrank_series(g, 0.6, 1).values
+        prev = simrank_series(g, 0.6, 1)
         for terms in (2, 4, 8):
-            cur = simrank_series(g, 0.6, terms).values
+            cur = simrank_series(g, 0.6, terms)
             off = ~np.eye(g.n, dtype=bool)
             assert np.all(cur[off] >= prev[off] - 1e-15)
             prev = cur
@@ -137,7 +137,7 @@ class TestWalkSeries:
     def test_diagonal_pinned(self):
         g = random_connected_graph(10, extra_edges=5, seed=2)
         s = simrank_series(g, 0.6, 5)
-        assert np.all(np.diag(s.values) == 1.0)
+        assert np.all(np.diag(s) == 1.0)
 
     @pytest.mark.parametrize("terms", (1, 5, 25))
     def test_closed_forms_within_tail_bound(self, triangle, star2, terms):
@@ -146,7 +146,7 @@ class TestWalkSeries:
         # 0.4412 and 1.2187 at 25 terms.
         c = 0.6
         bound = c ** (terms + 1)
-        tri = simrank_series(triangle, c, terms).values
+        tri = simrank_series(triangle, c, terms)
         assert abs(tri[0, 1] - c / (4 - 3 * c)) <= bound
-        sib = simrank_series(star2, c, terms).values
+        sib = simrank_series(star2, c, terms)
         assert abs(sib[0, 2] - c) <= bound
