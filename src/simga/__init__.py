@@ -48,7 +48,6 @@ from .model import (
 )
 from .simrank import (
     PushMatrix,
-    SimMatrix,
     SparseSim,
     class_score_histogram,
     dump_sparse_sim,

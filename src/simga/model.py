@@ -210,7 +210,7 @@ def precompute_similarity(g: Graph, hp: HyperParams) -> SparseSim:
     """The one production route to S: exact fixed point or push, then top-k pruning.
 
     exact  -> the fixed point run for ceil(log_c eps) iterations (absolute
-              accuracy eps), top-k of each row.
+              accuracy eps), whose S is a SparseSim with k = n, then top-k of each row.
     approx -> the push's estimate of the power series at eps, diagonal pinned
               to 1, top-k of each row; never dense, so it works past DENSE_LIMIT.
     """

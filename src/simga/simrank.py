@@ -12,7 +12,7 @@ products, so a step costs work in the entries S holds, not in n^2: on the
 benchmark's ring graph (n = 2,992) S ends with 2.8 % of its entries nonzero.
 On a graph where S fills, a sparse step costs about twice a dense one. The
 fixed point checks S on its CSR, in O(nnz), and returns that CSR as a
-SimMatrix (whose own check refuses non-finite entries alone) for topk_prune.
+SparseSim with k = n, which topk_prune then prunes.
 
 The push is level-synchronous (Jacobi order): it keeps a walk-mass sum E and a
 residual R, both sparse n x n, from E = 0 and R = I. Each round commits every
@@ -34,10 +34,11 @@ the sparse products: at eps 0.1 the largest |E - E^T| was 0 on a 4000-node
 ring graph and 6.9e-18 on a 40000-node uniform graph of degree 8.
 
 The top-k similarity the model consumes comes from model.precompute_similarity
-alone: topk_prune over the fixed point, or topk_from_push over the push. Each
-returns a SparseSim: one canonical n x n CSR (per row at most k entries, columns
-ascending) plus k, method and c. The exact S can fill to n^2 entries, so it and
-the dense oracles stop at DENSE_LIMIT nodes; past that only push + top-k runs.
+alone: topk_prune over the fixed point, or topk_from_push over the push. S is
+one type, pruned or not: a SparseSim, one canonical n x n CSR (per row at most
+k entries, columns ascending) plus k, method and c. The exact S can fill to n^2
+entries, so it and the dense oracles stop at DENSE_LIMIT nodes; past that only
+push + top-k runs.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .textio import input_error, read_table
 
 __all__ = [
     "DENSE_LIMIT",
-    "SimMatrix",
     "PairMatrix",
     "PushMatrix",
     "SparseSim",
@@ -93,30 +93,6 @@ def _dense_guard(n: int, what: str) -> None:
         )
 
 
-@dataclass
-class SimMatrix:
-    """S as a canonical n x n CSR plus provenance; refuses non-finite entries (the fixed point checks more)."""
-
-    csr: sp.csr_matrix
-    method: str
-    c: float
-    iterations: int | None = None
-
-    def __post_init__(self) -> None:
-        lo, hi = self.csr.data.min(initial=0.0), self.csr.data.max(initial=0.0)  # NaN reaches both
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise NumericError("similarity matrix has non-finite entries")
-
-    @property
-    def n(self) -> int:
-        return self.csr.shape[0]
-
-    @property
-    def values(self) -> np.ndarray:
-        _dense_guard(self.n, "dense similarity view")
-        return self.csr.toarray()  # a fresh n x n array on every read
-
-
 class PairMatrix(sp.csr_matrix):
     """n x n CSR pair matrix that also answers `u * n + v in m` for a nonzero (u, v)."""
 
@@ -133,12 +109,15 @@ class PushMatrix:
     entries over all rounds.
     """
 
-    n: int
     c: float
     eps: float
     estimate: PairMatrix
     residual: PairMatrix
     pops: int
+
+    @property
+    def n(self) -> int:
+        return self.estimate.shape[0]
 
     def max_residual(self) -> float:
         return float(self.residual.data.max(initial=0.0))
@@ -146,12 +125,16 @@ class PushMatrix:
 
 @dataclass
 class SparseSim:
-    """Row-wise top-k similarity as one canonical n x n CSR: per row at most k entries, columns ascending."""
+    """S as one canonical n x n CSR: per row at most k entries, columns ascending.
+
+    Top-k pruned S has the k it was pruned to; the fixed point's unpruned S has k = n.
+    """
 
     csr: sp.csr_matrix
     k: int
     method: str
     c: float
+    iterations: int | None = None  # the fixed point's, as provenance; dumps and checkpoints drop it
 
     def __post_init__(self) -> None:
         s, n = self.csr, self.n
@@ -188,9 +171,10 @@ class SparseSim:
     def n(self) -> int:
         return self.csr.shape[0]
 
-    def densify(self) -> np.ndarray:
-        _dense_guard(self.n, "sparse similarity export")
-        return self.csr.toarray()
+    @property
+    def values(self) -> np.ndarray:
+        _dense_guard(self.n, "dense similarity view")
+        return self.csr.toarray()  # a fresh n x n array on every read
 
 
 def _checked_symmetric(s: sp.csr_matrix) -> sp.csr_matrix:
@@ -215,13 +199,14 @@ def _checked_symmetric(s: sp.csr_matrix) -> sp.csr_matrix:
     return s
 
 
-def simrank_fixedpoint(g: Graph, c: float, iterations: int) -> SimMatrix:
+def simrank_fixedpoint(g: Graph, c: float, iterations: int) -> SparseSim:
     """Iterate S <- c * P S P^T off-diagonal with the diagonal pinned to 1, on CSR from S = I.
 
     S is refused unless finite (checked first, so a NaN reads as non-finite),
     symmetric within 1e-12, inside [0, 1] and 1 on its diagonal; then its
-    rounding asymmetry (<= 1 ulp) is shaved and that CSR is returned. Rows and
-    columns of isolated nodes stay zero off-diagonal. Converges at rate c.
+    rounding asymmetry (<= 1 ulp) is shaved and that CSR is returned as a
+    SparseSim with k = n. Rows and columns of isolated nodes stay zero
+    off-diagonal. Converges at rate c.
     """
     _check_decay(c)
     if iterations < 1:
@@ -238,7 +223,7 @@ def simrank_fixedpoint(g: Graph, c: float, iterations: int) -> SimMatrix:
         s.data *= c
         s = s - sp.diags(s.diagonal())
         s = s + eye  # diagonal exactly 1, stored or not before
-    return SimMatrix(_checked_symmetric(s), method="fixedpoint", c=c, iterations=iterations)
+    return SparseSim(_checked_symmetric(s), k=g.n, method="fixedpoint", c=c, iterations=iterations)
 
 
 def simrank_power_series(g: Graph, c: float, terms: int) -> np.ndarray:
@@ -293,9 +278,7 @@ def simrank_localpush(g: Graph, c: float, eps: float) -> PushMatrix:
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     )
     est.data *= 1.0 - c  # walk mass -> the power series
-    return PushMatrix(
-        n=n, c=c, eps=eps, estimate=PairMatrix(est), residual=PairMatrix(res), pops=pops
-    )
+    return PushMatrix(c=c, eps=eps, estimate=PairMatrix(est), residual=PairMatrix(res), pops=pops)
 
 
 def _topk(s: sp.csr_matrix, k: int, method: str, c: float) -> SparseSim:
@@ -320,7 +303,7 @@ def _topk(s: sp.csr_matrix, k: int, method: str, c: float) -> SparseSim:
     return SparseSim(s, k=k, method=method, c=c)
 
 
-def topk_prune(s: SimMatrix, k: int) -> SparseSim:
+def topk_prune(s: SparseSim, k: int) -> SparseSim:
     """Keep the k largest nonzero entries of each row (ties -> smaller column id); s is left as it is."""
     return _topk(s.csr.copy(), k, s.method, s.c)
 

@@ -135,8 +135,8 @@ def test_criterion_4_production_fidelity():
     graphs = fidelity_graphs()
     worst = 0.0
     for g in graphs:
-        exact = precompute_similarity(g, HyperParams(c=C, eps=0.01, k=g.n, sim_mode="exact")).densify()
-        approx = precompute_similarity(g, HyperParams(c=C, eps=0.01, k=g.n, sim_mode="approx")).densify()
+        exact = precompute_similarity(g, HyperParams(c=C, eps=0.01, k=g.n, sim_mode="exact")).values
+        approx = precompute_similarity(g, HyperParams(c=C, eps=0.01, k=g.n, sim_mode="approx")).values
         worst = max(worst, float(np.abs(exact - approx).max()))
     passed = worst <= 0.05
     report(4, passed, f"max exact-vs-approx disagreement {worst:.4f} (bound 0.05; includes the linearization gap)")

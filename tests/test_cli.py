@@ -94,7 +94,7 @@ class TestSimrank:
         assert "0 2 0.59999999999999998" in text
         with open(tmp_path / "out" / "similarity.txt") as fh:
             sim = load_sparse_sim(fh)
-        assert sim.densify()[0, 2] == 0.6
+        assert sim.values[0, 2] == 0.6
 
     def test_k_at_least_n_keeps_all_nonzeros(self, tmp_path, capsys):
         (tmp_path / "e.txt").write_text("0 1\n1 2\n0 2\n")
@@ -102,7 +102,7 @@ class TestSimrank:
               "--eps", "0.01", "--k", "99", "--out", str(tmp_path / "out")])
         with open(tmp_path / "out" / "similarity.txt") as fh:
             sim = load_sparse_sim(fh)
-        assert np.all(sim.densify() > 0)  # a triangle has no zero similarity pairs
+        assert np.all(sim.values > 0)  # a triangle has no zero similarity pairs
 
     def test_approx_tightening_eps_improves_agreement(self, fixture_dir, capsys):
         d = fixture_dir
@@ -111,11 +111,11 @@ class TestSimrank:
             main(["simrank", "--edges", str(d / "edges.txt"), "--mode", "approx",
                   "--eps", eps, "--k", "48", "--out", str(d / f"approx{eps}")])
             with open(d / f"approx{eps}" / "similarity.txt") as fh:
-                dumps[eps] = load_sparse_sim(fh).densify()
+                dumps[eps] = load_sparse_sim(fh).values
         main(["simrank", "--edges", str(d / "edges.txt"), "--mode", "exact",
               "--eps", "0.01", "--k", "48", "--out", str(d / "exact")])
         with open(d / "exact" / "similarity.txt") as fh:
-            exact = load_sparse_sim(fh).densify()
+            exact = load_sparse_sim(fh).values
         err_loose = np.abs(dumps["0.2"] - exact).max()
         err_tight = np.abs(dumps["0.01"] - exact).max()
         assert err_tight <= err_loose

@@ -33,7 +33,7 @@ from simga.nn import (
     softmax_cross_entropy,
     unflatten_arrays,
 )
-from simga.simrank import SimMatrix, topk_prune
+from simga.simrank import SparseSim, topk_prune
 
 
 def small_bundle(seed=0, n=60):
@@ -48,7 +48,7 @@ def quick_hp(**kw):
 
 
 def identity_sim(n):
-    return topk_prune(SimMatrix(sp.csr_matrix(np.eye(n)), method="custom", c=0.6), 1)
+    return topk_prune(SparseSim(sp.csr_matrix(np.eye(n)), k=n, method="custom", c=0.6), 1)
 
 
 class TestHyperParams:
@@ -143,7 +143,7 @@ class TestAggregate:
         bundle = small_bundle()
         sim = precompute_similarity(bundle.graph, quick_hp())
         h = np.random.default_rng(0).normal(size=(bundle.n, 3))
-        want = sim.densify() @ h
+        want = sim.values @ h
         assert np.abs(aggregate(sim, h, alpha=0.0) - want).max() <= 1e-12
 
     def test_identity_similarity_passes_through_at_any_alpha(self):

@@ -16,7 +16,6 @@ from simga.graph import build_graph, random_graph, transition
 from simga.model import HyperParams, precompute_similarity
 from simga.simrank import (
     DUMP_CHUNK,
-    SimMatrix,
     SparseSim,
     _checked_symmetric,
     _topk,
@@ -79,6 +78,15 @@ class TestFixedPoint:
         s = simrank_fixedpoint(g, 0.6, 10)
         assert s.values[1, 1] == 1.0
         assert s.values[1, 0] == 0.0 and s.values[1, 2] == 0.0
+
+    def test_returns_unpruned_sparse_sim(self):
+        g = random_graph(30, avg_degree=4, seed=5)
+        s = simrank_fixedpoint(g, 0.6, 5)
+        assert isinstance(s, SparseSim)
+        assert (s.k, s.method, s.iterations) == (g.n, "fixedpoint", 5)
+        pruned = topk_prune(s, g.n).csr  # k = n prunes nothing
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(pruned, name), getattr(s.csr, name))
 
 
 def dense_fixedpoint(g, c, iterations):
@@ -196,7 +204,7 @@ class TestLocalPush:
 
 def production(g, c, eps, mode):
     """The production S with every nonzero kept (k = n), as a dense matrix."""
-    return precompute_similarity(g, HyperParams(c=c, eps=eps, k=g.n, sim_mode=mode)).densify()
+    return precompute_similarity(g, HyperParams(c=c, eps=eps, k=g.n, sim_mode=mode)).values
 
 
 class TestProduction:
@@ -242,7 +250,7 @@ class TestTopkPrune:
         g = random_graph(20, avg_degree=4, seed=0)
         s = simrank_fixedpoint(g, 0.6, 10)
         pruned = topk_prune(s, g.n)
-        assert np.array_equal(pruned.densify(), s.values * (s.values != 0))
+        assert np.array_equal(pruned.values, s.values * (s.values != 0))
 
     def test_k1_keeps_diagonal_of_unit_diag_matrix(self):
         g = random_graph(15, avg_degree=4, seed=2)
@@ -254,7 +262,7 @@ class TestTopkPrune:
 
     def test_ties_go_to_smaller_column(self):
         values = np.array([[0.2, 0.5, 0.5], [0.5, 0.2, 0.5], [0.1, 0.1, 0.1]])
-        s = SimMatrix(sp.csr_matrix(values), method="custom", c=0.6)
+        s = SparseSim(sp.csr_matrix(values), k=3, method="custom", c=0.6)
         pruned = topk_prune(s, 1)
         assert row(pruned, 0)[0].tolist() == [1]
         assert row(pruned, 1)[0].tolist() == [0]
@@ -304,10 +312,10 @@ class TestTopkPrune:
         raw = simrank_localpush(g, 0.6, 0.02)
         values = raw.estimate.toarray()  # the push estimate with a unit diagonal
         np.fill_diagonal(values, 1.0)
-        dense = SimMatrix(sp.csr_matrix(values), method="localpush", c=0.6)
+        dense = SparseSim(sp.csr_matrix(values), k=g.n, method="localpush", c=0.6)
         for k in (1, 3, 10, 40):
-            a = topk_from_push(raw, k).densify()
-            b = topk_prune(dense, k).densify()
+            a = topk_from_push(raw, k).values
+            b = topk_prune(dense, k).values
             assert np.array_equal(a, b)
 
     def test_push_topk_keeps_the_estimate_bit_for_bit(self):
@@ -328,12 +336,12 @@ class TestTopkPrune:
         assert raw.pops == 0
         s = topk_from_push(raw, 3)
         assert s.n == g.n
-        assert np.array_equal(s.densify(), np.eye(g.n))
+        assert np.array_equal(s.values, np.eye(g.n))
 
 
 class TestSparseAggregate:
     def test_identity_aggregation(self):
-        s = SimMatrix(sp.csr_matrix(np.eye(6)), method="custom", c=0.6)
+        s = SparseSim(sp.csr_matrix(np.eye(6)), k=6, method="custom", c=0.6)
         pruned = topk_prune(s, 3)
         h = np.random.default_rng(0).normal(size=(6, 4))
         assert np.array_equal(sparse_aggregate(pruned, h), h)
@@ -350,7 +358,7 @@ class TestSparseAggregate:
         s = simrank_fixedpoint(g, 0.6, 10)
         pruned = topk_prune(s, 8)
         h = rng.normal(size=(8, 5))
-        want = pruned.densify() @ h
+        want = pruned.values @ h
         assert np.abs(sparse_aggregate(pruned, h) - want).max() <= 1e-12
 
     def test_dimension_mismatch(self):
@@ -402,7 +410,7 @@ class TestDumpLoad:
         loaded = load_sparse_sim(buf)
         assert loaded.n == pruned.n and loaded.k == pruned.k and loaded.c == pruned.c
         assert loaded.method == pruned.method
-        assert np.array_equal(loaded.densify(), pruned.densify())
+        assert np.array_equal(loaded.values, pruned.values)
 
     def test_scores_survive_at_full_precision(self, star2):
         pruned = topk_prune(simrank_fixedpoint(star2, 0.6, 20), 8)
@@ -411,7 +419,7 @@ class TestDumpLoad:
         text = buf.getvalue()
         assert "0 2 0.59999999999999998" in text  # 17 significant digits of 0.6
         buf.seek(0)
-        assert load_sparse_sim(buf).densify()[0, 2] == 0.6
+        assert load_sparse_sim(buf).values[0, 2] == 0.6
 
     def test_bad_header_rejected(self):
         with pytest.raises(InputFormatError):
@@ -521,11 +529,11 @@ class TestSimMatrixValidation:
             cases.append(big)
         for values in cases:
             with pytest.raises(NumericError, match="non-finite"):
-                SimMatrix(sp.csr_matrix(values), method="custom", c=0.6)
+                _checked_symmetric(sp.csr_matrix(values))
 
     def test_checks_build_no_matrix_sized_temporary(self):
-        # the refusal reads the min and max of the CSR's stored entries, so
-        # building a SimMatrix traces a small share of the dense S's bytes
+        # the checks read indptr and the CSR's stored entries, so building a
+        # SparseSim traces a small share of the dense S's bytes
         n = 2000
         rng = np.random.default_rng(0)
         values = rng.random((n, n))
@@ -534,11 +542,17 @@ class TestSimMatrixValidation:
         csr = sp.csr_matrix(values)
         tracemalloc.start()
         try:
-            SimMatrix(csr, method="fixedpoint", c=0.6)
+            SparseSim(csr, k=n, method="fixedpoint", c=0.6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < values.nbytes / 4
+
+    def test_dense_view_guarded(self):
+        n = simrank.DENSE_LIMIT + 1
+        s = SparseSim(sp.identity(n, format="csr"), k=1, method="custom", c=0.6)
+        with pytest.raises(GuardError, match=f"n <= {simrank.DENSE_LIMIT}"):
+            s.values
 
 
 class TestFixedPointChecks:
@@ -590,8 +604,8 @@ class TestFixedPointChecks:
         assert np.array_equal(got, np.minimum(values, values.T))
 
     def test_traced_peak_on_a_filled_graph(self):
-        # S fills; the bound is the peak traced when the dense SimMatrix ran the
-        # fixed point's checks (6.17 n^2 doubles); the CSR checks trace 5.67
+        # S fills; the bound is the peak traced when the fixed point checked a
+        # dense S (6.17 n^2 doubles); the CSR checks trace 5.67
         g = random_graph(200, avg_degree=8, seed=0)
         tracemalloc.start()
         try:

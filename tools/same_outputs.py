@@ -10,9 +10,17 @@ benchmark workload's full and smoke inputs once, with the working tree's
 (seed 3, 5 epochs) on them from both source trees, each command in a fresh
 process. Per input it compares the sha256 of similarity.txt, of every
 checkpoint array (name, dtype, shape and bytes) and of report.json without its
-timing keys. It also compares the stdout of `simga verify --seed 0`. It prints
-one line per compared output and exits 1 if any differs. Only the standard
-library and numpy are used, and nothing leaves the machine.
+timing keys. It also compares the stdout of `simga verify --seed 0`.
+
+Per workload it then runs each tree's own `perfbench/run.py --seed 3
+--seconds 0 --trace 1` and compares the traced counters of its last line:
+every per-layer metric in count or bytes, and every fraction or ratio outside
+trace.*. A counter missing on one side differs. A counter that perfbench
+reports dropped on its stderr, or a perfbench run that exits nonzero, is a
+fault: perfbench only warns when a representation change breaks a counter.
+It prints one line per compared output and per fault, and exits 1 if any
+output differs or any fault is seen. Only the standard library and numpy are
+used, and nothing leaves the machine.
 """
 
 from __future__ import annotations
@@ -37,16 +45,18 @@ from workloads import WORKLOADS, workload  # noqa: E402
 
 TIMING_KEYS = ("precompute_seconds", "train_seconds")  # report.json's wall-clock fields
 GEN_SEED, TRAIN_SEED, EPOCHS = 7, 3, 5  # few epochs: a difference shows from the first step
+TRACE_SEED = 3  # perfbench's seed for the traced counters: inputs and training
+DROPPED = "perfbench: counter for "  # how perfbench's stderr begins a dropped counter's warning
 
 
 def extract(rev: str, dest: Path) -> Path:
-    """Write the tree of `rev` under dest and return its source directory."""
+    """Write the tree of `rev` under dest and return dest."""
     tar = subprocess.run(
         ["git", "-C", str(ROOT), "archive", "--format=tar", rev], check=True, capture_output=True
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
         tf.extractall(dest, filter="data")
-    return dest / "src"
+    return dest
 
 
 def simga(src: Path, argv: list[str]) -> str:
@@ -87,6 +97,26 @@ def pipeline_hashes(src: Path, paths: dict, spec: dict, out: Path) -> dict:
     return hashes
 
 
+def traced_counters(root: Path, name: str) -> tuple[dict, list[str]]:
+    """The counters of one traced perfbench run of the tree at root, and the run's faults."""
+    run = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "run.py"), "--workload", name,
+         "--seed", str(TRACE_SEED), "--seconds", "0", "--trace", "1"],
+        cwd=root, capture_output=True, text=True,
+    )
+    faults = [line for line in run.stderr.splitlines() if line.startswith(DROPPED)]
+    if run.returncode != 0:  # as when a dropped counter leaves a declared metric with no value
+        faults.append(f"perfbench exited {run.returncode}: {run.stderr.strip().splitlines()[-1:]}")
+        return {}, faults
+    metrics = json.loads(run.stdout.splitlines()[-1])["metrics"]
+    counters = {
+        key: repr(m["value"]) for key, m in metrics.items()
+        if m["unit"] in ("count", "bytes")
+        or (m["unit"] in ("fraction", "ratio") and not key.startswith("trace."))
+    }
+    return counters, faults
+
+
 def compare(label: str, base: dict, change: dict) -> int:
     """Print one line per output; return how many differ."""
     differ = 0
@@ -106,19 +136,29 @@ def main(argv: list[str] | None = None) -> int:
     differ = 0
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
         work = Path(tmp)
-        trees = {"base": extract(args.rev, work / "base"), "change": ROOT / "src"}
+        trees = {"base": extract(args.rev, work / "base"), "change": ROOT}
         for name in WORKLOADS:
             for smoke in (False, True):
                 spec = workload(name, smoke=smoke)
                 label = name + (" smoke" if smoke else "")
                 inputs = generate(spec["graph"], GEN_SEED, work / "inputs" / label)
                 got = {
-                    side: pipeline_hashes(src, inputs.paths, spec, work / side / label)
-                    for side, src in trees.items()
+                    side: pipeline_hashes(root / "src", inputs.paths, spec, work / side / label)
+                    for side, root in trees.items()
                 }
                 differ += compare(label, got["base"], got["change"])
-        got = {side: {"stdout": sha(simga(src, ["verify", "--seed", "0"]).encode())} for side, src in trees.items()}
+        got = {
+            side: {"stdout": sha(simga(root / "src", ["verify", "--seed", "0"]).encode())}
+            for side, root in trees.items()
+        }
         differ += compare("verify --seed 0", got["base"], got["change"])
+        for name in WORKLOADS:
+            got = {side: traced_counters(root, name) for side, root in trees.items()}
+            differ += compare(f"{name} traced", got["base"][0], got["change"][0])
+            for side, (_, faults) in got.items():
+                for line in faults:
+                    print(f"{'FAULT':<9}  {f'{name} {side}':<18}  {line}")
+                differ += len(faults)
     print(f"{differ} output(s) differ from {args.rev}" if differ else f"all outputs equal to {args.rev}")
     return 1 if differ else 0
 
