@@ -34,11 +34,16 @@ __all__ = [
 ]
 
 TWIN_FEATURES, TWIN_CLASSES, HETEROPHILY_FEATURES = 8, 3, 16  # the generators' feature columns and classes
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass
 class DatasetBundle:
-    """Graph + node features + integer labels + disjoint train/val/test indices."""
+    """Graph + node features + integer labels + disjoint train/val/test indices.
+
+    Features stay float32 or float64 as given, and `fit` trains in their
+    dtype; any other dtype becomes float64.
+    """
 
     graph: Graph
     features: np.ndarray
@@ -49,7 +54,9 @@ class DatasetBundle:
     test_idx: np.ndarray
 
     def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=np.float64)
+        self.features = np.asarray(self.features)
+        if self.features.dtype not in (np.float32, np.float64):
+            self.features = self.features.astype(np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.train_idx = np.asarray(self.train_idx, dtype=np.int64)
         self.val_idx = np.asarray(self.val_idx, dtype=np.int64)
@@ -77,12 +84,19 @@ class DatasetBundle:
 
 
 def load_features(source: IO[str]) -> np.ndarray:
-    """Feature matrix, one node per line; rejects ragged rows and non-finite values."""
+    """Feature matrix as float32, one node per line, which sets the training dtype.
+
+    Parsed as float64 first; rejects ragged rows, non-finite values and values
+    past float32's range, which the cast would turn into infinities.
+    """
     feats = read_table(source, np.float64, "feature value", empty="empty feature file")
-    if not np.isfinite(feats).all():
-        bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
-        raise input_error(source, f"node {bad[0]}: non-finite feature value")
-    return feats
+    for bad, what in (
+        (~np.isfinite(feats), "non-finite feature value"),
+        (np.abs(feats) > FLOAT32_MAX, "feature value past float32's range"),
+    ):
+        if bad.any():
+            raise input_error(source, f"node {np.flatnonzero(bad.any(axis=1))[0]}: {what}")
+    return feats.astype(np.float32)
 
 
 def load_labels(source: IO[str]) -> np.ndarray:

@@ -36,12 +36,15 @@ class Graph:
 
     adj is an n x n CSR of stored 1s that equals its transpose; neighbors(u) is
     the strictly increasing slice adj.indices[adj.indptr[u]:adj.indptr[u+1]].
+    The 1s are float32: exact, so a float32 product A @ H stays float32, and
+    scipy upcasts them for a float64 H.
     """
 
     adj: sp.csr_matrix
 
     def __post_init__(self) -> None:
         _check_invariants(self.adj)
+        self.adj = self.adj.astype(np.float32, copy=False)
 
     @property
     def n(self) -> int:
@@ -127,7 +130,7 @@ def build_graph(n: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> Graph:
     both = np.concatenate([keys, hi * n + lo])
     both.sort()
     dst = np.remainder(both, n, out=both)
-    return Graph(sp.csr_matrix((np.ones(dst.size), dst, offsets), shape=(n, n)))
+    return Graph(sp.csr_matrix((np.ones(dst.size, dtype=np.float32), dst, offsets), shape=(n, n)))
 
 
 def load_edge_list(source: IO[str]) -> Graph:

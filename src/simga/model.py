@@ -13,11 +13,18 @@ forms it one cache block of rows at a time. The precomputed sparse similarity
 then mixes rows globally, Z = (1 - alpha) * S @ H + alpha * H, and a softmax
 over Z gives class probabilities. S is computed once before training (the
 expensive part is outside the training loop) and reused every epoch.
+
+Training runs in the dtype of the features: float32 when they are read from
+text, float64 for the generators' bundles. fit draws the weights in float64
+and casts them, and casts S's scores once; the weights are returned and
+checkpointed in that dtype, while the S it reports and checkpoints stays
+float64. The loss is summed in float64.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import math
 import time
@@ -27,6 +34,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
+import scipy.sparse as sp
 
 from .data import DatasetBundle
 from .errors import DivergenceError, InputFormatError, NumericError, ParameterError
@@ -266,6 +274,17 @@ def aggregate(s: SparseSim, h: np.ndarray, alpha: float) -> np.ndarray:
     return (1.0 - alpha) * sparse_aggregate(s, h) + alpha * h
 
 
+def _in_dtype(s: SparseSim, dtype: np.dtype) -> SparseSim:
+    """S with its scores cast to the training dtype, index arrays shared; S itself if they are in it.
+
+    A float64 S would promote every float32 product S @ H to float64.
+    """
+    if s.csr.dtype == dtype:
+        return s
+    csr = sp.csr_matrix((s.csr.data.astype(dtype), s.csr.indices, s.csr.indptr), shape=s.csr.shape)
+    return dataclasses.replace(s, csr=csr)
+
+
 def _logits_with_cache(bundle, s, params, hp, training, rng):
     hh, cache = _embed_with_cache(bundle, params, hp, training, rng)
     z = aggregate(s, hh, hp.alpha)
@@ -382,6 +401,7 @@ def evaluate(
     split = np.asarray(split, dtype=np.int64)
     if split.size == 0:
         raise ParameterError("empty evaluation split")
+    s = _in_dtype(s, bundle.features.dtype)
     z, _ = _logits_with_cache(bundle, s, params, hp, training=False, rng=None)
     return _accuracy(z, bundle.labels, split)
 
@@ -414,8 +434,12 @@ def fit(
         precompute_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    dtype = bundle.features.dtype  # the training dtype; the report and checkpoint keep the float64 S
+    train_sim = _in_dtype(sim, dtype)
     rng = np.random.default_rng(hp.seed)
     params = init_params(rng, bundle.num_features, bundle.n, bundle.num_classes, hp)
+    for layer in (*params.mlp_f, *params.mlp_a, *params.mlp_h):  # drawn in float64 at every dtype
+        layer.weight, layer.bias = layer.weight.astype(dtype, copy=False), layer.bias.astype(dtype, copy=False)
     state: AdamState = adam_init(params.arrays())
     head_dropout = draws_dropout(params.mlp_h, hp.dropout)
 
@@ -428,9 +452,9 @@ def fit(
     for epoch in range(1, hp.max_epochs + 1):
         kept, evaluated = (None if head_dropout else evaluated), None
         try:
-            loss = _train_step(bundle, sim, params, hp, state, rng, kept)
+            loss = _train_step(bundle, train_sim, params, hp, state, rng, kept)
             del kept  # nothing of the step outlives it into the eval pass
-            evaluated = _logits_with_cache(bundle, sim, params, hp, training=False, rng=None)
+            evaluated = _logits_with_cache(bundle, train_sim, params, hp, training=False, rng=None)
         except NumericError as exc:
             raise DivergenceError(f"training diverged at epoch {epoch}: {exc}") from exc
         val_acc = _accuracy(evaluated[0], bundle.labels, bundle.val_idx)
@@ -446,7 +470,7 @@ def fit(
             if since_best >= hp.patience:
                 break
     del evaluated
-    test_acc = evaluate(bundle, sim, best, hp, bundle.test_idx)
+    test_acc = evaluate(bundle, train_sim, best, hp, bundle.test_idx)
     train_seconds = time.perf_counter() - t0
     report = TrainReport(
         curve=curve,
@@ -561,6 +585,13 @@ def load_checkpoint(path: str | Path) -> tuple[SimgaParams, HyperParams, SparseS
                 ]
                 for name, layers in depth.items()
             }
+            weights = SimgaParams(**blocks).named_arrays()
+            first, dtype = weights[0][0], weights[0][1].dtype
+            for name, arr in weights:  # an int or a mixed set would promote every product to float64
+                if arr.dtype not in (np.float32, np.float64):
+                    raise InputFormatError(f"{name} holds {arr.dtype}, not float32 or float64")
+                if arr.dtype != dtype:
+                    raise InputFormatError(f"{name} holds {arr.dtype} and {first} {dtype}, not one dtype")
             head = blocks["mlp_h"]
             hidden = {blocks["mlp_f"][0].weight.shape[1], blocks["mlp_a"][0].weight.shape[1]}
             hidden |= {layer.weight.shape[0] for layer in head}

@@ -1,7 +1,11 @@
 """Minimal dense NN stack: linear layers, MLP forward/backward, loss, Adam, grad check.
 
-Everything is float64 numpy; gradients are hand-derived per layer (no autodiff).
-Training is bit-reproducible for a fixed seed in single-threaded mode.
+Arrays are float32 or float64 numpy. The training path (mlp_forward_from_pre,
+the backward passes, the loss gradient and Adam) keeps the dtype it is given,
+since one float64 operand would promote a float32 product; init_linear draws
+weights in float64 from the rng stream, and the caller casts them. Gradients
+are hand-derived per layer (no autodiff). Training is bit-reproducible for a
+fixed seed in single-threaded mode.
 """
 
 from __future__ import annotations
@@ -113,7 +117,8 @@ def mlp_forward_from_pre(
         h = np.maximum(z, 0.0)
         mask = None
         if training and dropout > 0.0:
-            mask = (rng.random(h.shape) >= dropout) / (1.0 - dropout)
+            # from float64 draws whatever h's dtype, in h's dtype: g * mask keeps g's
+            mask = np.divide(rng.random(h.shape) >= dropout, 1.0 - dropout, dtype=h.dtype)
             h *= mask
         masks.append(mask)
         check_fan_in(i, h, layers[i])
@@ -174,7 +179,7 @@ def softmax_cross_entropy(
     z = sub - sub.max(axis=1, keepdims=True)
     e = np.exp(z)
     norm = e.sum(axis=1)
-    loss = float(np.mean(np.log(norm) - z[np.arange(idx.size), y]))
+    loss = float(np.mean(np.log(norm) - z[np.arange(idx.size), y], dtype=np.float64))
     probs = np.divide(e, norm[:, None], out=e)  # softmax_rows(sub), from the same exp(z)
     probs[np.arange(idx.size), y] -= 1.0
     grad = np.zeros_like(logits)
@@ -183,9 +188,11 @@ def softmax_cross_entropy(
     return loss, grad
 
 
-# Elements per Adam block: the block's six float64 streams (param, grad, m, v
-# and two scratch rows) take 6 * 256 KB, inside a 2 MB L2. Tuned on the
-# benchmark host (Xeon, 2 MB L2 per core) over block sizes 4096-65536.
+# Elements per Adam block: the block's six streams (param, grad, m, v and two
+# scratch rows) take 6 * 256 KB in float64 and 6 * 128 KB in float32, inside a
+# 2 MB L2. Tuned on the benchmark host (Xeon, 2 MB L2 per core) over 8192-131072
+# elements: float64 steps are fastest here, and float32 steps are flat from
+# 32768 to 65536 (9.8 against 9.7 ms for a 40,000 x 64 factored gradient).
 ADAM_BLOCK = 32768
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # grad_check's central-difference step, and how near 0 a pre-activation sits at a ReLU kink
@@ -238,8 +245,10 @@ def adam_step(
         bounds = [*range(0, len(p), rows), len(p)]
         if p.ndim == 2 and len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
             del bounds[-2]  # the one-row tail joins the block before it
-        if p[: rows + 1].size > state.scratch.shape[1]:  # a block may hold one row more
-            state.scratch = np.empty((2, p[: rows + 1].size))
+        need = p[: rows + 1].size  # a block may hold one row more
+        # in p's dtype: float64 rows would run a float32 block through float64
+        if need > state.scratch.shape[1] or state.scratch.dtype != p.dtype:
+            state.scratch = np.empty((2, need), dtype=p.dtype)
         for lo, hi in zip(bounds, bounds[1:]):
             pb, mb, vb = (arr[lo:hi] for arr in (p, m, v))
             a, b = (row[: pb.size].reshape(pb.shape) for row in state.scratch)

@@ -319,8 +319,8 @@ def topk_from_push(push: PushMatrix, k: int) -> SparseSim:
 
 
 def sparse_aggregate(s: SparseSim, h: np.ndarray) -> np.ndarray:
-    """Row u of the result is sum over (v, score) in row u of score * h[v]."""
-    h = np.asarray(h, dtype=np.float64)
+    """Row u of the result is sum over (v, score) in row u of score * h[v], in h's and S's dtype."""
+    h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != s.n:
         raise ParameterError(f"row count mismatch: similarity has {s.n} rows, h has {h.shape}")
     return s.csr @ h

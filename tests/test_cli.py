@@ -360,7 +360,7 @@ class TestMalformedInputs:
                    "depth_float", "width_list", "sim_negative_n", "version_not_int", "hyperparams_list",
                    "width_mismatch", "bias_2d", "object_array", "sim_float_columns", "sim_other_n",
                    "sim_longer_than_indptr", "sim_indptr_decreasing", "sim_columns_unsorted", "sim_nan_score",
-                   "sim_row_over_k", "sim_c_nan"]
+                   "sim_row_over_k", "sim_c_nan", "int_weight", "mixed_weights"]
     )
     def test_bad_checkpoint(self, fixture_dir, capsys, damage):
         d = fixture_dir
@@ -424,6 +424,10 @@ class TestMalformedInputs:
         elif damage == "sim_c_nan":  # json writes the non-JSON token NaN
             provenance = json.loads(str(arrays["__similarity__"]))
             arrays["__similarity__"] = np.str_(json.dumps({**provenance, "c": float("nan")}))
+        elif damage == "int_weight":
+            arrays["mlp_h.0.weight"] = arrays["mlp_h.0.weight"].astype(np.int64)
+        elif damage == "mixed_weights":  # float32 as training writes them, one of them float64
+            arrays["mlp_a.0.bias"] = arrays["mlp_a.0.bias"].astype(np.float64)
         path = d / "bad.npz"
         if damage == "not_npz":
             path.write_bytes(b"not a checkpoint\n")
@@ -447,6 +451,8 @@ class TestMalformedInputs:
             "sim_nan_score": "non-finite score",
             "sim_row_over_k": "row holds more than k=",
             "sim_c_nan": "decay factor must lie in (0, 1), got nan",
+            "int_weight": "mlp_h.0.weight holds int64, not float32 or float64",
+            "mixed_weights": "mlp_a.0.bias holds float64 and mlp_f.0.weight float32, not one dtype",
         }.get(damage, "") in err
 
     def test_eval_on_another_node_count(self, tmp_path, capsys):
@@ -636,6 +642,17 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert_one_error_line(err)
         assert "node 5" in err
+
+    def test_feature_past_float32_range_names_the_node(self, fixture_dir, capsys):
+        # finite in float64, but it would train as inf and read as a divergence (exit 3)
+        d = fixture_dir
+        feats = np.loadtxt(d / "features.txt")
+        feats[7, 0] = -1e39
+        np.savetxt(d / "features.txt", feats)
+        assert main(train_args(d, d / "run")) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "features.txt: node 7: feature value past float32's range" in err
 
 
 def run_cli(argv):

@@ -21,6 +21,13 @@ class TestLoaders:
         assert feats.shape == (2, 2)
         assert feats[1, 1] == pytest.approx(0.03)
 
+    def test_features_are_float32_up_to_its_range(self):
+        top = float(np.finfo(np.float32).max)
+        feats = load_features(io.StringIO(f"{top!r} -0.1\n"))
+        assert feats.dtype == np.float32 and feats[0, 0] == np.float32(top)
+        with pytest.raises(InputFormatError, match="node 1: feature value past float32's range"):
+            load_features(io.StringIO("0 1\n2 -1e39\n"))
+
     def test_features_ragged_rejected(self):
         with pytest.raises(InputFormatError, match="line 2"):
             load_features(io.StringIO("1 2\n3\n"))
@@ -47,6 +54,11 @@ class TestBundleValidation:
     def test_label_range_checked(self):
         with pytest.raises(InputFormatError, match="label"):
             DatasetBundle(self._graph(), np.zeros((4, 2)), np.array([0, 1, 2, 3]), 2, [0], [1], [2])
+
+    @pytest.mark.parametrize("given,kept", [(np.float32, np.float32), (np.float64, np.float64), (np.int64, np.float64)])
+    def test_features_keep_a_float_dtype(self, given, kept):
+        bundle = DatasetBundle(self._graph(), np.ones((4, 2), dtype=given), np.zeros(4, int), 2, [0], [1], [2])
+        assert bundle.features.dtype == kept
 
     def test_overlapping_splits_rejected(self):
         with pytest.raises(InputFormatError, match="overlap"):

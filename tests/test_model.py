@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from simga import model
 from simga.data import gen_structural_heterophily, gen_twin_graph
 from simga.errors import DivergenceError, InputFormatError, ParameterError
 from simga.model import (
@@ -414,6 +415,52 @@ class TestFit:
         assert last <= 500
         if last < 500:
             assert last == report.best_epoch + 5 or report.best_epoch == last
+
+
+class TestTrainingDtype:
+    """fit trains in the features' dtype: a float64 operand anywhere would promote a float32 run."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("depth,dropout", [(1, 0.0), (2, 0.5)])
+    def test_every_training_array_takes_the_features_dtype(self, monkeypatch, dtype, depth, dropout):
+        bundle = small_bundle(seed=2, n=1100)  # W_a spans three Adam blocks at width 64
+        bundle.features = bundle.features.astype(dtype)
+        hp = quick_hp(mlp_h_depth=depth, dropout=dropout, width=64, max_epochs=3, patience=np.inf)
+        seen: list[tuple[str, np.ndarray]] = []
+        logits_with_cache, step = model._logits_with_cache, model.adam_step
+
+        def traced_logits(*args, **kwargs):
+            z, cache = logits_with_cache(*args, **kwargs)
+            seen.append(("logits", z))
+            for key, arrays in cache["cache_h"].items():
+                seen.extend((f"cache {key}", a) for a in arrays if a is not None)
+            return z, cache
+
+        def traced_step(params, grads, state, *args, **kwargs):
+            for g in grads:
+                seen.extend(("gradient", a) for a in (g if isinstance(g, tuple) else (g,)))
+            state = step(params, grads, state, *args, **kwargs)
+            seen.extend(("adam", a) for a in [*state.m, *state.v, state.scratch])
+            return state
+
+        monkeypatch.setattr(model, "_logits_with_cache", traced_logits)
+        monkeypatch.setattr(model, "adam_step", traced_step)
+        params, report = fit(bundle, hp)
+        seen.extend(("parameter", a) for a in params.arrays())
+        assert {name for name, _ in seen} >= {"logits", "cache pre", "gradient", "adam", "parameter"}
+        if depth == 2:  # the hidden activation and its dropout masks
+            assert {"cache inputs", "cache masks"} <= {name for name, _ in seen}
+        assert [(name, a.dtype) for name, a in seen if a.dtype != dtype] == []
+        assert report.similarity.csr.dtype == np.float64  # the S that is dumped and checkpointed
+
+    def test_float32_run_draws_the_float64_run_s_weights(self):
+        bundle = small_bundle(seed=2, n=300)
+        hp = quick_hp(max_epochs=0)
+        params64, _ = fit(bundle, hp)
+        bundle.features = bundle.features.astype(np.float32)
+        params32, _ = fit(bundle, hp)
+        for a, b in zip(params64.arrays(), params32.arrays()):
+            assert b.dtype == np.float32 and np.array_equal(a.astype(np.float32), b)
 
 
 class TestEvaluate:

@@ -176,38 +176,43 @@ class TestAdam:
                 v += (1.0 - ADAM_BETA2) * (g * g)
                 p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
-        rng = np.random.default_rng(0)
         rows = ADAM_BLOCK // 64
         # row counts that are not a multiple of the block's rows, 1-D biases
         # longer and shorter than a block, and rows wider than a block
         shapes = [(3 * rows + 17, 64), (64,), (rows - 1, 64), (ADAM_BLOCK + 5,), (3,), (2, ADAM_BLOCK + 1)]
-        params = [rng.standard_normal(s) for s in shapes]
-        expect = [p.copy() for p in params]
-        state, ref_state = adam_init(params), adam_init(expect)
-        for _ in range(5):
-            grads = [rng.standard_normal(s) for s in shapes]
-            adam_step(params, grads, state, lr=0.01, weight_decay=weight_decay)
-            reference_step(expect, grads, ref_state, 0.01, weight_decay)
-        for got, want in zip(params + state.m + state.v, expect + ref_state.m + ref_state.v):
-            assert np.array_equal(got, want)
+        for dtype in (np.float64, np.float32):  # every stream, scratch included, in the parameters' dtype
+            rng = np.random.default_rng(0)
+            params = [rng.standard_normal(s, dtype=dtype) for s in shapes]
+            expect = [p.copy() for p in params]
+            state, ref_state = adam_init(params), adam_init(expect)
+            for _ in range(5):
+                grads = [rng.standard_normal(s, dtype=dtype) for s in shapes]
+                adam_step(params, grads, state, lr=0.01, weight_decay=weight_decay)
+                reference_step(expect, grads, ref_state, 0.01, weight_decay)
+            for got, want in zip(params + state.m + state.v, expect + ref_state.m + ref_state.v):
+                assert got.dtype == dtype and np.array_equal(got, want)
+            assert state.scratch.dtype == dtype
 
     @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
     @pytest.mark.parametrize("inner", [4, 64])
     def test_factor_pair_matches_materialised_gradient(self, inner, weight_decay):
         # a gradient given as (left, right) is formed block by block inside the
-        # step; the run must equal the one given left @ right bit for bit
-        rng = np.random.default_rng(1)
+        # step; the run must equal the one given left @ right bit for bit, under
+        # dgemm and under sgemm
         rows = ADAM_BLOCK // 64
-        for n in (rows - 3, rows + 1, 2 * rows + 1, 2 * rows + 17, 3 * rows + 2):  # k * rows + 1: a one-row tail
-            params = [rng.standard_normal((n, 64)), rng.standard_normal(64)]
-            expect = [p.copy() for p in params]
-            state, ref_state = adam_init(params), adam_init(expect)
-            for _ in range(4):
-                left, right, bias = (rng.standard_normal(s) for s in ((n, inner), (inner, 64), 64))
-                adam_step(params, [(left, right), bias], state, lr=0.01, weight_decay=weight_decay)
-                adam_step(expect, [left @ right, bias], ref_state, lr=0.01, weight_decay=weight_decay)
-            for got, want in zip(params + state.m + state.v, expect + ref_state.m + ref_state.v):
-                assert np.array_equal(got, want)
+        for dtype in (np.float64, np.float32):
+            rng = np.random.default_rng(1)
+            for n in (rows - 3, rows + 1, 2 * rows + 1, 2 * rows + 17, 3 * rows + 2):  # k * rows + 1: one-row tail
+                params = [rng.standard_normal((n, 64), dtype=dtype), rng.standard_normal(64, dtype=dtype)]
+                expect = [p.copy() for p in params]
+                state, ref_state = adam_init(params), adam_init(expect)
+                for _ in range(4):
+                    left, right, bias = (rng.standard_normal(s, dtype=dtype) for s in ((n, inner), (inner, 64), 64))
+                    adam_step(params, [(left, right), bias], state, lr=0.01, weight_decay=weight_decay)
+                    adam_step(expect, [left @ right, bias], ref_state, lr=0.01, weight_decay=weight_decay)
+                for got, want in zip(params + state.m + state.v, expect + ref_state.m + ref_state.v):
+                    assert got.dtype == dtype and np.array_equal(got, want)
+                assert state.scratch.dtype == dtype
 
     def test_step_counter_increases(self):
         theta = np.array([1.0])

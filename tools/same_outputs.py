@@ -27,12 +27,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import os
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
@@ -42,21 +40,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 from gen import generate  # noqa: E402
 from workloads import WORKLOADS, workload  # noqa: E402
+from pairs import extract  # noqa: E402
 
 TIMING_KEYS = ("precompute_seconds", "train_seconds")  # report.json's wall-clock fields
 GEN_SEED, TRAIN_SEED, EPOCHS = 7, 3, 5  # few epochs: a difference shows from the first step
 TRACE_SEED = 3  # perfbench's seed for the traced counters: inputs and training
 DROPPED = "perfbench: counter for "  # how perfbench's stderr begins a dropped counter's warning
-
-
-def extract(rev: str, dest: Path) -> Path:
-    """Write the tree of `rev` under dest and return dest."""
-    tar = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", "--format=tar", rev], check=True, capture_output=True
-    ).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
-        tf.extractall(dest, filter="data")
-    return dest
 
 
 def simga(src: Path, argv: list[str]) -> str:
