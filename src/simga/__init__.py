@@ -7,7 +7,7 @@ Subpackage map:
   simrank  exact SimRank, its power series and local push, top-k pruning, aggregation, dump/load
   walks    random-walk oracles (tour enumeration, meeting probabilities, first-meeting walk series)
   nn       dense MLP stack with hand-derived gradients, Adam, gradient checking
-  model    the classifier, precompute_similarity (the one route to S), training loop, diagnostics
+  model    the classifier, precompute_similarity (the one route to S), training loop, checkpoints
   verify   executable equivalence suites
   bench    scaling-ladder benchmark
   cli      command-line entry point (`simga`)
@@ -32,7 +32,6 @@ from .graph import (
     transition,
 )
 from .model import (
-    GroupingReport,
     HyperParams,
     SimgaParams,
     TrainReport,
@@ -41,7 +40,6 @@ from .model import (
     evaluate,
     fit,
     forward,
-    grouping_report,
     load_checkpoint,
     precompute_similarity,
     save_checkpoint,

@@ -157,6 +157,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise InputFormatError(
             f"checkpoint {args.checkpoint} was trained on {sim.n} nodes, the graph has {bundle.n}"
         )
+    trained_width = params.mlp_f[0].weight.shape[0]
+    if trained_width != bundle.num_features:
+        raise InputFormatError(
+            f"checkpoint {args.checkpoint} was trained on {trained_width} feature columns, "
+            f"{args.features} has {bundle.num_features}"
+        )
     split = {"train": bundle.train_idx, "val": bundle.val_idx, "test": bundle.test_idx}[args.split]
     acc = evaluate(bundle, sim, params, hp, split)
     result = {"split": args.split, "accuracy": acc}

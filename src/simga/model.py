@@ -73,8 +73,6 @@ __all__ = [
     "forward",
     "fit",
     "evaluate",
-    "grouping_report",
-    "GroupingReport",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -483,55 +481,6 @@ def fit(
     return best, report
 
 
-@dataclass
-class GroupingReport:
-    mean_intra_distance: float
-    mean_inter_distance: float
-    twin_max_deviation: float | None
-    pairs_sampled: int
-
-
-def grouping_report(
-    z: np.ndarray,
-    labels: np.ndarray,
-    pair_sample: int,
-    rng: np.random.Generator | None = None,
-    twin_pairs: list[tuple[int, int]] | None = None,
-) -> GroupingReport:
-    """Row-distance statistics of an embedding, stratified by label agreement.
-
-    Samples `pair_sample` unordered node pairs and averages Euclidean row
-    distances within/between classes; for designated twin pairs reports the
-    max absolute entry-wise deviation. Strata that receive no samples come
-    back as nan.
-    """
-    if pair_sample < 1:
-        raise ParameterError("pair_sample must be >= 1")
-    z = np.asarray(z, dtype=np.float64)
-    labels = np.asarray(labels)
-    n = z.shape[0]
-    if n < 2:
-        raise ParameterError("need at least two rows")
-    rng = rng or np.random.default_rng(0)
-    us = rng.integers(0, n, size=pair_sample)
-    vs = rng.integers(0, n, size=pair_sample)
-    keep = us != vs
-    us, vs = us[keep], vs[keep]
-    dists = np.linalg.norm(z[us] - z[vs], axis=1)
-    same = labels[us] == labels[vs]
-    mean_intra = float(dists[same].mean()) if same.any() else float("nan")
-    mean_inter = float(dists[~same].mean()) if (~same).any() else float("nan")
-    twin_dev = None
-    if twin_pairs:
-        twin_dev = max(float(np.abs(z[u] - z[v]).max()) for u, v in twin_pairs)
-    return GroupingReport(
-        mean_intra_distance=mean_intra,
-        mean_inter_distance=mean_inter,
-        twin_max_deviation=twin_dev,
-        pairs_sampled=int(us.size),
-    )
-
-
 def save_checkpoint(path: str | Path, params: SimgaParams, hp: HyperParams, sim: SparseSim) -> None:
     """Named-tensor npz: the weights, the S they were trained against, the run config."""
     payload = {name: arr for name, arr in params.named_arrays()}
@@ -592,6 +541,8 @@ def load_checkpoint(path: str | Path) -> tuple[SimgaParams, HyperParams, SparseS
                     raise InputFormatError(f"{name} holds {arr.dtype}, not float32 or float64")
                 if arr.dtype != dtype:
                     raise InputFormatError(f"{name} holds {arr.dtype} and {first} {dtype}, not one dtype")
+                if not np.isfinite(arr).all():  # else the first forward pass reads as a numeric failure
+                    raise InputFormatError(f"{name} holds a non-finite value")
             head = blocks["mlp_h"]
             hidden = {blocks["mlp_f"][0].weight.shape[1], blocks["mlp_a"][0].weight.shape[1]}
             hidden |= {layer.weight.shape[0] for layer in head}

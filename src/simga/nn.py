@@ -1,4 +1,4 @@
-"""Minimal dense NN stack: linear layers, MLP forward/backward, loss, Adam, grad check.
+"""Minimal dense NN stack: linear layers, the MLP past its first layer, loss, Adam, grad check.
 
 Arrays are float32 or float64 numpy. The training path (mlp_forward_from_pre,
 the backward passes, the loss gradient and Adam) keeps the dtype it is given,
@@ -23,9 +23,7 @@ __all__ = [
     "init_linear",
     "draws_dropout",
     "check_fan_in",
-    "mlp_forward",
     "mlp_forward_from_pre",
-    "mlp_backward",
     "mlp_backward_to_pre",
     "softmax_rows",
     "softmax_cross_entropy",
@@ -64,7 +62,7 @@ def init_linear(rng: np.random.Generator, fan_in: int, fan_out: int) -> LinearLa
 
 
 def draws_dropout(layers: list[LinearLayer], dropout: float) -> bool:
-    """Whether a training mlp_forward over these layers draws dropout masks."""
+    """Whether a training mlp_forward_from_pre over these layers draws dropout masks."""
     return dropout > 0.0 and len(layers) > 1
 
 
@@ -74,27 +72,6 @@ def check_fan_in(i: int, x: np.ndarray, layer: LinearLayer) -> None:
         raise ParameterError(f"layer {i}: input width {x.shape[1]} != fan_in {layer.weight.shape[0]}")
 
 
-def mlp_forward(
-    layers: list[LinearLayer],
-    x: np.ndarray,
-    dropout: float = 0.0,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, dict]:
-    """Affine stack with ReLU between layers (none after the last).
-
-    While training, inverted dropout is applied to each hidden activation, so
-    evaluation needs no rescaling. Returns (output, cache for backward).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    check_fan_in(0, x, layers[0])
-    out, cache = mlp_forward_from_pre(
-        layers, x @ layers[0].weight + layers[0].bias, dropout, training, rng
-    )
-    cache["inputs"][0] = x
-    return out, cache
-
-
 def mlp_forward_from_pre(
     layers: list[LinearLayer],
     pre0: np.ndarray,
@@ -102,10 +79,13 @@ def mlp_forward_from_pre(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, dict]:
-    """mlp_forward from the first layer's pre-activation `pre0` on.
+    """Affine stack with ReLU between layers (none after the last), from `pre0` on.
 
-    The caller has applied layers[0] itself, so the cache holds no input for
-    it; with a single layer the output is `pre0`.
+    `pre0` is the first layer's pre-activation: the caller has applied
+    layers[0] itself, so the cache holds no input for it, and with a single
+    layer the output is `pre0`. While training, inverted dropout is applied to
+    each hidden activation, so evaluation needs no rescaling. Returns (output,
+    cache for mlp_backward_to_pre).
     """
     if training and draws_dropout(layers, dropout) and rng is None:
         raise ParameterError("dropout during training needs an rng")
@@ -127,15 +107,6 @@ def mlp_forward_from_pre(
         pre.append(z)
     ensure_finite(z, "mlp output")
     return z, {"inputs": inputs, "pre": pre, "masks": masks}
-
-
-def mlp_backward(
-    layers: list[LinearLayer], cache: dict, grad_out: np.ndarray
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Backprop through mlp_forward; returns (grad wrt input, [(dW, db)] per layer)."""
-    g, grads = mlp_backward_to_pre(layers, cache, grad_out)
-    grads[0] = (cache["inputs"][0].T @ g, g.sum(axis=0))
-    return g @ layers[0].weight.T, grads
 
 
 def mlp_backward_to_pre(

@@ -147,8 +147,8 @@ class SparseSim:
         lo, hi = s.data.min(initial=0.0), s.data.max(initial=0.0)  # NaN reaches both
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise InputFormatError("non-finite score")
-        if lo < 0.0:
-            raise InputFormatError("scores must be nonnegative")
+        if lo < 0.0 or hi > 1.0:
+            raise InputFormatError("scores must lie in [0, 1]")
         if not (0.0 < self.c < 1.0):  # NaN fails both
             raise InputFormatError(f"decay factor must lie in (0, 1), got {self.c}")
 

@@ -317,7 +317,8 @@ def assert_one_error_line(err):
 
 
 DUMP_MUTATIONS = ["negative_column", "column_past_n", "nan_score", "inf_score", "duplicate_pair",
-                  "descending_columns", "negative_row", "row_past_n", "another_n"]
+                  "descending_columns", "negative_row", "row_past_n", "another_n", "score_above_one",
+                  "huge_score"]
 
 
 def _mutate_dump(header, lines, n, mutation):
@@ -330,6 +331,8 @@ def _mutate_dump(header, lines, n, mutation):
         "column_past_n": [*lines[:-1], f"{last[0]} {n + 51} {last[2]}"],
         "nan_score": [f"{first[0]} {first[1]} nan", *lines[1:]],
         "inf_score": [f"{first[0]} {first[1]} inf", *lines[1:]],
+        "score_above_one": [f"{first[0]} {first[1]} 5", *lines[1:]],
+        "huge_score": [f"{first[0]} {first[1]} 1e308", *lines[1:]],  # finite in float64, not in float32
         "duplicate_pair": [lines[0], *lines],
         "descending_columns": [lines[1], lines[0], *lines[2:]],
         "negative_row": ["-1 0 0.5", *lines],
@@ -360,7 +363,8 @@ class TestMalformedInputs:
                    "depth_float", "width_list", "sim_negative_n", "version_not_int", "hyperparams_list",
                    "width_mismatch", "bias_2d", "object_array", "sim_float_columns", "sim_other_n",
                    "sim_longer_than_indptr", "sim_indptr_decreasing", "sim_columns_unsorted", "sim_nan_score",
-                   "sim_row_over_k", "sim_c_nan", "int_weight", "mixed_weights"]
+                   "sim_row_over_k", "sim_c_nan", "int_weight", "mixed_weights", "sim_score_above_one",
+                   "nan_weight", "inf_weight"]
     )
     def test_bad_checkpoint(self, fixture_dir, capsys, damage):
         d = fixture_dir
@@ -428,6 +432,12 @@ class TestMalformedInputs:
             arrays["mlp_h.0.weight"] = arrays["mlp_h.0.weight"].astype(np.int64)
         elif damage == "mixed_weights":  # float32 as training writes them, one of them float64
             arrays["mlp_a.0.bias"] = arrays["mlp_a.0.bias"].astype(np.float64)
+        elif damage == "sim_score_above_one":
+            arrays["sim.scores"][0] = 7.0
+        elif damage == "nan_weight":
+            arrays["mlp_h.0.weight"][0, 0] = np.nan
+        elif damage == "inf_weight":
+            arrays["mlp_a.0.weight"][0, 0] = np.inf
         path = d / "bad.npz"
         if damage == "not_npz":
             path.write_bytes(b"not a checkpoint\n")
@@ -453,6 +463,9 @@ class TestMalformedInputs:
             "sim_c_nan": "decay factor must lie in (0, 1), got nan",
             "int_weight": "mlp_h.0.weight holds int64, not float32 or float64",
             "mixed_weights": "mlp_a.0.bias holds float64 and mlp_f.0.weight float32, not one dtype",
+            "sim_score_above_one": "scores must lie in [0, 1]",
+            "nan_weight": "mlp_h.0.weight holds a non-finite value",
+            "inf_weight": "mlp_a.0.weight holds a non-finite value",
         }.get(damage, "") in err
 
     def test_eval_on_another_node_count(self, tmp_path, capsys):
@@ -474,6 +487,22 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert_one_error_line(err)
         assert "trained on 800 nodes, the graph has 700" in err
+
+    def test_eval_on_another_feature_width(self, fixture_dir, capsys):
+        d = fixture_dir
+        assert main(train_args(d, d / "run", ["--max-epochs", "2"])) == 0
+        features = np.loadtxt(d / "features.txt")
+        np.savetxt(d / "wide.txt", np.hstack([features, features[:, :1]]))  # one column more
+        flags = bundle_flags(d)
+        flags[flags.index("--features") + 1] = str(d / "wide.txt")
+        capsys.readouterr()
+        code = main(["eval", *flags, "--checkpoint", str(d / "run" / "checkpoint.npz")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        width = features.shape[1]
+        assert (f"checkpoint {d / 'run' / 'checkpoint.npz'} was trained on {width} feature columns, "
+                f"{d / 'wide.txt'} has {width + 1}") in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -17,7 +17,6 @@ from simga.model import (
     evaluate,
     fit,
     forward,
-    grouping_report,
     init_params,
     load_checkpoint,
     loss_and_grads,
@@ -29,8 +28,8 @@ from simga.nn import (
     adam_step,
     flatten_arrays,
     grad_check,
-    mlp_backward,
-    mlp_forward,
+    mlp_backward_to_pre,
+    mlp_forward_from_pre,
     softmax_cross_entropy,
     unflatten_arrays,
 )
@@ -201,14 +200,18 @@ def unfolded_logits(bundle, sim, params, hp, rng):
     adj = bundle.graph.adjacency_csr()
     combined = hp.delta * (bundle.features @ lf.weight + lf.bias)
     combined += (1.0 - hp.delta) * (adj @ la.weight + la.bias)
-    hh, cache_h = mlp_forward(params.mlp_h, combined, hp.dropout, True, rng)
+    h0 = params.mlp_h[0]
+    hh, cache_h = mlp_forward_from_pre(params.mlp_h, combined @ h0.weight + h0.bias, hp.dropout, True, rng)
+    cache_h["inputs"][0] = combined
     return aggregate(sim, hh, hp.alpha), cache_h
 
 
 def unfolded_grads(bundle, sim, params, hp, cache_h, grad_z):
     """Backprop of unfolded_logits, through the materialised blend's gradient."""
     grad_h = (1.0 - hp.alpha) * (sim.csr.T @ grad_z) + hp.alpha * grad_z
-    grad_combined, grads_h = mlp_backward(params.mlp_h, cache_h, grad_h)
+    g, grads_h = mlp_backward_to_pre(params.mlp_h, cache_h, grad_h)
+    grads_h[0] = (cache_h["inputs"][0].T @ g, g.sum(axis=0))
+    grad_combined = g @ params.mlp_h[0].weight.T
     grad_hf = hp.delta * grad_combined
     grad_ha = (1.0 - hp.delta) * grad_combined
     adj = bundle.graph.adjacency_csr()
@@ -505,27 +508,20 @@ class TestEvaluate:
         assert a == b
 
 
-class TestGroupingReport:
-    def test_identical_rows_have_zero_distance(self):
-        z = np.ones((10, 3))
-        rep = grouping_report(z, np.zeros(10, int), pair_sample=200)
-        assert rep.mean_intra_distance == 0.0
-
-    def test_twin_pairs_report_max_deviation(self):
-        z = np.arange(12, dtype=float).reshape(6, 2)
-        z[3] = z[0]
-        rep = grouping_report(z, np.zeros(6, int), pair_sample=50, twin_pairs=[(0, 3)])
-        assert rep.twin_max_deviation == 0.0
-
+class TestGroupingEffect:
     def test_trained_embeddings_cluster_by_class(self):
         bundle = small_bundle(seed=7, n=120)
         hp = quick_hp(max_epochs=150)
         params, _ = fit(bundle, hp)
         sim = precompute_similarity(bundle.graph, hp)
         z = aggregate(sim, embed(bundle, params, hp), hp.alpha)
-        rep = grouping_report(z, bundle.labels, pair_sample=4000,
-                              rng=np.random.default_rng(0))
-        assert rep.mean_intra_distance < rep.mean_inter_distance
+        rng = np.random.default_rng(0)  # 4,000 sampled pairs; those of a node with itself dropped
+        us = rng.integers(0, bundle.n, size=4000)
+        vs = rng.integers(0, bundle.n, size=4000)
+        us, vs = us[us != vs], vs[us != vs]
+        dists = np.linalg.norm(z[us] - z[vs], axis=1)
+        same = bundle.labels[us] == bundle.labels[vs]
+        assert dists[same].mean() < dists[~same].mean()
 
 
 class TestCheckpoint:

@@ -10,11 +10,12 @@ from simga.nn import (
     LinearLayer,
     adam_init,
     adam_step,
+    check_fan_in,
     flatten_arrays,
     grad_check,
     init_linear,
-    mlp_backward,
-    mlp_forward,
+    mlp_backward_to_pre,
+    mlp_forward_from_pre,
     softmax_cross_entropy,
     softmax_rows,
     unflatten_arrays,
@@ -25,20 +26,25 @@ def make_mlp(rng, widths):
     return [init_linear(rng, a, b) for a, b in zip(widths[:-1], widths[1:])]
 
 
+def mlp_on(layers, x, *args, **kwargs):
+    """The whole stack on input x: layer 0 applied here, the rest by mlp_forward_from_pre."""
+    return mlp_forward_from_pre(layers, x @ layers[0].weight + layers[0].bias, *args, **kwargs)
+
+
 class TestMlpForward:
     def test_single_layer_is_affine(self):
         rng = np.random.default_rng(0)
         layer = LinearLayer(weight=rng.normal(size=(4, 3)), bias=np.zeros(3))
         x = rng.normal(size=(5, 4))
-        out, _ = mlp_forward([layer], x)
+        out, _ = mlp_on([layer], x)
         assert np.allclose(out, x @ layer.weight)
 
     def test_zero_dropout_training_equals_eval(self):
         rng = np.random.default_rng(1)
         layers = make_mlp(rng, [6, 8, 3])
         x = rng.normal(size=(7, 6))
-        eval_out, _ = mlp_forward(layers, x, dropout=0.0, training=False)
-        train_out, _ = mlp_forward(layers, x, dropout=0.0, training=True, rng=rng)
+        eval_out, _ = mlp_on(layers, x, dropout=0.0, training=False)
+        train_out, _ = mlp_on(layers, x, dropout=0.0, training=True, rng=rng)
         assert np.array_equal(eval_out, train_out)
 
     def test_inverted_dropout_is_unbiased(self):
@@ -48,12 +54,12 @@ class TestMlpForward:
         rng = np.random.default_rng(2)
         layers = make_mlp(rng, [5, 16, 4])
         x = rng.normal(size=(6, 5))
-        ref, _ = mlp_forward(layers, x, dropout=0.0, training=False)
+        ref, _ = mlp_on(layers, x, dropout=0.0, training=False)
         mask_rng = np.random.default_rng(3)
         acc = np.zeros_like(ref)
         reps = 10_000
         for _ in range(reps):
-            out, _ = mlp_forward(layers, x, dropout=0.5, training=True, rng=mask_rng)
+            out, _ = mlp_on(layers, x, dropout=0.5, training=True, rng=mask_rng)
             acc += out
         acc /= reps
         assert np.abs(acc - ref).mean() < 0.02 * np.abs(ref).mean()
@@ -62,12 +68,15 @@ class TestMlpForward:
         rng = np.random.default_rng(0)
         layers = make_mlp(rng, [4, 3])
         with pytest.raises(ParameterError):
-            mlp_forward(layers, np.zeros((2, 5)))
+            check_fan_in(0, np.zeros((2, 5)), layers[0])
+        layers.append(init_linear(rng, 5, 2))  # layer 1's fan_in is not layer 0's fan_out
+        with pytest.raises(ParameterError):
+            mlp_on(layers, np.zeros((2, 4)))
 
     def test_non_finite_output_rejected(self):
         layer = LinearLayer(weight=np.array([[np.inf]]), bias=np.zeros(1))
         with pytest.raises(NumericError):
-            mlp_forward([layer], np.ones((1, 1)))
+            mlp_on([layer], np.ones((1, 1)))
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -78,9 +87,10 @@ class TestMlpForward:
         def value_and_grad(flat):
             for dst, src in zip(arrays, unflatten_arrays(flat, arrays)):
                 dst[...] = src
-            out, cache = mlp_forward(layers, x)
+            out, cache = mlp_on(layers, x)
             loss = 0.5 * float((out**2).sum())
-            _, grads = mlp_backward(layers, cache, out)
+            g_pre, grads = mlp_backward_to_pre(layers, cache, out)
+            grads[0] = (x.T @ g_pre, g_pre.sum(axis=0))
             flat_grads = flatten_arrays([g for gw_gb in grads for g in gw_gb])
             pre = np.concatenate([z.ravel() for z in cache["pre"][:-1]])
             return loss, flat_grads, pre
