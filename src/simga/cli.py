@@ -163,6 +163,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"checkpoint {args.checkpoint} was trained on {trained_width} feature columns, "
             f"{args.features} has {bundle.num_features}"
         )
+    head_width = params.mlp_h[-1].weight.shape[1]
+    if bundle.num_classes > head_width:
+        raise InputFormatError(
+            f"{args.labels} holds {bundle.num_classes} classes, "
+            f"checkpoint {args.checkpoint} was trained on {head_width}"
+        )
     split = {"train": bundle.train_idx, "val": bundle.val_idx, "test": bundle.test_idx}[args.split]
     acc = evaluate(bundle, sim, params, hp, split)
     result = {"split": args.split, "accuracy": acc}

@@ -25,6 +25,7 @@ __all__ = [
     "load_edge_list",
     "node_homophily",
     "transition",
+    "transition_t",
     "random_graph",
     "random_connected_graph",
 ]
@@ -171,6 +172,18 @@ def transition(g: Graph) -> sp.csr_matrix:
     data = np.repeat(1.0 / deg, deg)
     # copies of the index arrays, so P never aliases A
     return sp.csr_matrix((data, g.adj.indices.copy(), g.adj.indptr.copy()), shape=(g.n, g.n))
+
+
+def transition_t(g: Graph) -> sp.csr_matrix:
+    """P^T as CSR, read off the symmetric adjacency: row v holds 1/deg(u) at each neighbor u.
+
+    Array for array what transition(g).T.tocsr() gives, without the transpose.
+    """
+    deg = g.degrees
+    inv = np.zeros(g.n)
+    inv[deg > 0] = 1.0 / deg[deg > 0]
+    # copies of the index arrays, so P^T never aliases A
+    return sp.csr_matrix((inv[g.adj.indices], g.adj.indices.copy(), g.adj.indptr.copy()), shape=(g.n, g.n))
 
 
 def random_graph(

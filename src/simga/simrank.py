@@ -33,6 +33,21 @@ committed in two rounds counts twice). E is symmetric only up to rounding in
 the sparse products: at eps 0.1 the largest |E - E^T| was 0 on a 4000-node
 ring graph and 6.9e-18 on a 40000-node uniform graph of degree 8.
 
+The push keeps R in blocks of consecutive rows (_BlockedResidual). A round
+selects its entries block by block, forms P sel once, and then, for each block
+P sel reaches, that block's spread and its sum with the block; a block it does
+not reach only drops its committed zeros. So what is live at once is R, sel,
+P sel, E's committed entries and one block's spread and sum (P sel goes before
+the last block's sum), where one whole-matrix sum per round held the old R,
+the full spread and an array sized for both. On random_graph(n, 8, seed=1) the
+push's tracemalloc peak, over the final R's data and index bytes, went from
+4.16 to 1.75 at n = 40,000 and eps 0.1 (132.8 -> 56.0 MB), from 4.16 to 1.63
+at n = 100,000 (332.5 -> 130.6 MB), and from 2.19 to 1.66 at n = 8,000 and eps
+0.02 (338.7 -> 256.9 MB); tools/push_peak.py prints it round by round. The
+blocks reproduce the whole-matrix push's estimate, residual and pops array for
+array; _BlockedResidual says how. PushMatrix.residual joins the blocks on
+first read.
+
 The top-k similarity the model consumes comes from model.precompute_similarity
 alone: topk_prune over the fixed point, or topk_from_push over the push. S is
 one type, pruned or not: a SparseSim, one canonical n x n CSR (per row at most
@@ -44,14 +59,15 @@ push + top-k runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import GuardError, InputFormatError, NumericError, ParameterError
-from .graph import _MAX_NODES, Graph, transition
+from .graph import _MAX_NODES, Graph, transition, transition_t
 from .textio import input_error, read_table
 
 __all__ = [
@@ -73,6 +89,8 @@ __all__ = [
 DENSE_LIMIT = 20_000
 HISTOGRAM_FLOOR, HISTOGRAM_BINS = 1e-12, 40  # class_score_histogram's trivial-score floor and bin count
 DUMP_CHUNK = 2**16  # entries per join and write in dump_sparse_sim; its text tables are per chunk
+PUSH_BLOCK = 4096  # rows per block of the push's residual at least; a graph of up to this many nodes is one block
+PUSH_BLOCKS = 16  # blocks at most: each block's products and sum clear scratch arrays of n entries
 
 
 def _check_decay(c: float) -> None:
@@ -106,18 +124,25 @@ class PushMatrix:
 
     estimate is (1-c) times the committed walk mass; residual holds the walk
     mass that never crossed the (1-c)*eps threshold. pops counts committed
-    entries over all rounds.
+    entries over all rounds. The push leaves the residual in row blocks, which
+    hold R once; residual joins them into one CSR on first read, copying block
+    by block and releasing each, so that read peaks near one R plus one block.
+    The pipeline never makes it.
     """
 
     c: float
     eps: float
     estimate: PairMatrix
-    residual: PairMatrix
     pops: int
+    _blocks: _BlockedResidual = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.estimate.shape[0]
+
+    @cached_property
+    def residual(self) -> PairMatrix:
+        return self._blocks.assemble()
 
     def max_residual(self) -> float:
         return float(self.residual.data.max(initial=0.0))
@@ -212,8 +237,7 @@ def simrank_fixedpoint(g: Graph, c: float, iterations: int) -> SparseSim:
     if iterations < 1:
         raise ParameterError("need at least one iteration")
     _dense_guard(g.n, "fixed-point SimRank")
-    p = transition(g)
-    pt = p.T.tocsr()
+    p, pt = transition(g), transition_t(g)
     eye = sp.identity(g.n, format="csr")
     s = eye
     for _ in range(iterations):
@@ -232,8 +256,7 @@ def simrank_power_series(g: Graph, c: float, terms: int) -> np.ndarray:
     if terms < 0:
         raise ParameterError("terms must be >= 0")
     _dense_guard(g.n, "power-series SimRank")
-    p = transition(g)
-    pt = p.T.tocsr()
+    p, pt = transition(g), transition_t(g)
     term = (1.0 - c) * np.eye(g.n)
     acc = term.copy()
     for _ in range(terms):
@@ -242,43 +265,195 @@ def simrank_power_series(g: Graph, c: float, terms: int) -> np.ndarray:
     return acc
 
 
+def _index_dtype(largest: int) -> type:
+    return np.int32 if largest <= np.iinfo(np.int32).max else np.int64
+
+
+def _reversal(b: sp.csr_matrix) -> np.ndarray:
+    """The positions of b's entries with each row's listed in reverse order."""
+    ends = b.indptr[:-1].astype(np.int64) + b.indptr[1:] - 1  # each row's last position
+    return np.repeat(ends, np.diff(b.indptr)) - np.arange(b.nnz)
+
+
+def _reversed_rows(b: sp.csr_matrix) -> sp.csr_matrix:
+    """b with each row's entries in reverse order."""
+    src = _reversal(b)
+    return sp.csr_matrix((b.data[src], b.indices[src], b.indptr), shape=b.shape)
+
+
+def _canonical(b: sp.csr_matrix) -> bool:
+    """Whether every row's columns strictly ascend, checked afresh as csr_plus_csr checks its operands."""
+    return sp.csr_matrix((b.data, b.indices, b.indptr), shape=b.shape).has_canonical_format
+
+
+def _with_zero_duplicate(s: sp.csr_matrix) -> sp.csr_matrix:
+    """s plus a 0.0 repeat of its last entry: no value changes, but s is no longer canonical."""
+    last = s.nnz - 1
+    indptr = s.indptr.copy()
+    indptr[np.searchsorted(s.indptr, last, side="right"):] += 1
+    return sp.csr_matrix(
+        (np.append(s.data, 0.0), np.append(s.indices, s.indices[last]), indptr), shape=s.shape
+    )
+
+
+class _BlockedResidual:
+    """The push's residual R, n x n, as CSR blocks of consecutive rows.
+
+    A block holds max(PUSH_BLOCK, n / PUSH_BLOCKS) rows. A round forms its spread
+    and adds it one block at a time, and leaves a block it does not reach in
+    place, so no full-size spread or sum is ever live. Each output row of scipy's
+    csr_matmat and csr_plus_csr depends on that row alone, so the blocks hold the
+    rows one whole-matrix sum R + spread would, with its values in its column
+    order. The order matters: the next round's selection, and with it the
+    summation order of its products and of E, follows R's row order.
+
+    csr_plus_csr takes one of two routes for the whole sum: a sorted merge when
+    both operands are canonical (columns strictly ascending in every row), else a
+    general route that lists each row's columns in reverse order of first
+    appearance, and so reverses a row it adds nothing to. Each block follows the
+    whole's route:
+      - a block the round does not reach only drops its committed zeros, and
+        `flipped` records that the whole sum would have reversed its rows; that
+        is done on its next add, or in assemble;
+      - a spread block that is canonical while the whole is not gets a zero
+        duplicate, which sends its add down the general route and changes no value;
+      - the whole is canonical only if all of R and every spread block are, so
+        blocks wait for their add until a spread block that is not canonical
+        settles the route, or until every spread block is formed and R is checked.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        rows = max(PUSH_BLOCK, -(-n // PUSH_BLOCKS))
+        self.bounds = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+        idx = _index_dtype(n)
+        self.blocks = [  # R = I
+            sp.csr_matrix((np.ones(hi - lo), np.arange(lo, hi, dtype=idx), np.arange(hi - lo + 1, dtype=idx)),
+                          shape=(hi - lo, n))
+            for lo, hi in self.bounds
+        ]
+        self.flipped = [False] * len(self.blocks)
+        self.hot: list[np.ndarray] = []
+
+    def take(self, threshold: float) -> sp.csr_matrix | None:
+        """Zero R's entries above threshold and return them as sel, in R's order; None if none."""
+        self.hot = [np.flatnonzero(b.data > threshold) for b in self.blocks]
+        if not any(hot.size for hot in self.hot):
+            return None
+        cols, vals, ends, taken = [], [], [np.zeros(1, np.int64)], 0
+        for b, hot in zip(self.blocks, self.hot):
+            cols.append(b.indices[hot])
+            vals.append(b.data[hot])
+            ends.append(np.searchsorted(hot, b.indptr[1:]) + taken)
+            taken += hot.size
+            b.data[hot] = 0.0  # R - sel; the next add drops the explicit zeros
+        cols = np.concatenate(cols)
+        # index arrays already in one index dtype, so scipy neither scans nor copies them
+        indptr = np.concatenate(ends).astype(cols.dtype)
+        return sp.csr_matrix((np.concatenate(vals), cols, indptr), shape=(self.n, self.n))
+
+    def add(self, p: sp.csr_matrix, sel: sp.csr_matrix, pt: sp.csr_matrix, c: float) -> None:
+        """R <- R + c * P sel P^T, one block of rows at a time."""
+        ps = p @ sel
+        general, waiting = False, {}  # block -> its spread, None where the round does not reach it
+        for i, (lo, hi) in enumerate(self.bounds):
+            s = None
+            a, z = ps.indptr[lo], ps.indptr[hi]
+            if a != z:  # the round reaches the block
+                part = ps
+                if hi - lo < self.n:  # ps[lo:hi] as views on ps's arrays; slicing would copy them
+                    part = sp.csr_matrix((ps.data[a:z], ps.indices[a:z], ps.indptr[lo : hi + 1] - a),
+                                         shape=(hi - lo, self.n))
+                s = part @ pt
+                s.data *= c
+            if hi == self.n:
+                ps = part = None  # every spread block is formed: P sel goes before the last sums
+            general = general or (s is not None and not s.has_canonical_format)
+            waiting[i] = s if s is not None and s.nnz else None
+            del s  # waiting holds the spread alone, so _merge can release it
+            if general:
+                self._merge(waiting, general=True)
+        if waiting:  # every spread block is canonical: the whole sum's route is R's
+            general = not all(
+                _canonical(_reversed_rows(b) if f else b) for b, f in zip(self.blocks, self.flipped)
+            )
+            self._merge(waiting, general)
+
+    def _merge(self, waiting: dict[int, sp.csr_matrix | None], general: bool) -> None:
+        """Add each waiting spread to its block by the whole sum's route; waiting ends empty.
+
+        Each old block and spread is released as soon as their sum is formed.
+        """
+        for i in list(waiting):
+            s = waiting.pop(i)
+            b, self.blocks[i] = self.blocks[i], None
+            if s is None:
+                if self.hot[i].size:
+                    b.eliminate_zeros()
+                self.blocks[i], self.flipped[i] = b, self.flipped[i] ^ general
+                continue
+            if self.flipped[i]:
+                b, self.flipped[i] = _reversed_rows(b), False
+            if general and s.has_canonical_format:
+                s = _with_zero_duplicate(s)
+            b = b + s
+            del s
+            # scipy sizes the sum for nnz(b) + nnz(s) and may keep a view on it; the unused
+            # tail is as large as the overlap, which makes the early rounds' blocks ~2x
+            if b.data.base is not None and b.data.base.size - b.nnz > b.nnz // 8:
+                b.data, b.indices = b.data.copy(), b.indices.copy()
+            self.blocks[i] = b
+
+    def assemble(self) -> PairMatrix:
+        """R as one CSR, copied block by block into preallocated arrays; the blocks are released."""
+        if len(self.blocks) == 1 and not self.flipped[0]:
+            return PairMatrix(self.blocks.pop())
+        nnz = sum(b.nnz for b in self.blocks)
+        idx = _index_dtype(max(nnz, self.n))
+        data, indices = np.empty(nnz), np.empty(nnz, idx)
+        indptr = np.zeros(self.n + 1, idx)
+        at = 0
+        for i, (lo, hi) in enumerate(self.bounds):
+            b, self.blocks[i] = self.blocks[i], None
+            src = _reversal(b) if self.flipped[i] else slice(None)
+            data[at : at + b.nnz] = b.data[src]
+            indices[at : at + b.nnz] = b.indices[src]
+            indptr[lo + 1 : hi + 1] = b.indptr[1:] + at
+            at += b.nnz
+        return PairMatrix((data, indices, indptr), shape=(self.n, self.n))
+
+
 def simrank_localpush(g: Graph, c: float, eps: float) -> PushMatrix:
     """Level-synchronous push: each round commits every residual above (1-c)*eps at once.
 
     Starts from R = I, E = 0. A round takes sel = R on its entries above the
     threshold, adds sel to E and replaces R by R - sel + c * P sel P^T; it
-    stops once max R <= (1-c)*eps and returns (1-c) * E as the estimate.
+    stops once max R <= (1-c)*eps and returns (1-c) * E as the estimate. R
+    stays in row blocks, which give every array one whole-matrix sum per round
+    would; at no time is a spread or a sum of all n rows live. Live at once:
+    R, sel, P sel, the committed entries and one block's spread and sum. The
+    traced peak on a uniform degree-8 graph at n = 100,000, eps 0.1, is 1.63
+    final residuals (130.6 MB), where the whole-matrix sum took 4.16 (332.5 MB).
     """
     _check_decay(c)
     _check_eps(eps)
     n = g.n
     threshold = (1.0 - c) * eps
-    p = transition(g)
-    pt = p.T.tocsr()
-    res = sp.identity(n, format="csr")
+    p, pt = transition(g), transition_t(g)
+    res = _BlockedResidual(n)
     # committed entries of every round as (row, col, value); E is their sum
     rows, cols, vals = [np.empty(0, np.int64)], [np.empty(0, np.int32)], [np.empty(0)]
-    pops = 0
-    while True:
-        hot = np.flatnonzero(res.data > threshold)
-        if hot.size == 0:
-            break
-        pops += hot.size
-        rows.append(np.searchsorted(res.indptr, hot, side="right") - 1)
-        cols.append(res.indices[hot])
-        vals.append(res.data[hot])
-        # index arrays already in R's index dtype, so scipy neither scans nor copies them
-        indptr = np.searchsorted(hot, res.indptr).astype(res.indptr.dtype, copy=False)
-        sel = sp.csr_matrix((vals[-1], cols[-1], indptr), shape=(n, n))
-        res.data[hot] = 0.0  # R - sel; the sum below drops the explicit zeros
-        spread = p @ sel @ pt
-        spread.data *= c
-        res = res + spread
+    while (sel := res.take(threshold)) is not None:
+        rows.append(np.repeat(np.arange(n), np.diff(sel.indptr)))
+        cols.append(sel.indices)
+        vals.append(sel.data)
+        res.add(p, sel, pt, c)
     est = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     )
     est.data *= 1.0 - c  # walk mass -> the power series
-    return PushMatrix(c=c, eps=eps, estimate=PairMatrix(est), residual=PairMatrix(res), pops=pops)
+    pops = sum(v.size for v in vals)
+    return PushMatrix(c=c, eps=eps, estimate=PairMatrix(est), pops=pops, _blocks=res)
 
 
 def _topk(s: sp.csr_matrix, k: int, method: str, c: float) -> SparseSim:

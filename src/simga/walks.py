@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import GuardError, ParameterError
-from .graph import Graph, transition
+from .graph import Graph, transition, transition_t
 from .simrank import _check_decay, _dense_guard
 
 __all__ = [
@@ -106,8 +106,7 @@ def simrank_series(g: Graph, c: float, terms: int) -> np.ndarray:
     if terms < 1:
         raise ParameterError("terms must be >= 1")
     _dense_guard(g.n, "walk-series similarity")
-    p = transition(g)
-    pt = p.T.tocsr()
+    p, pt = transition(g), transition_t(g)
     meet = np.eye(g.n)  # both walks start together; the first step gives G_1 = P P^T
     acc = np.zeros((g.n, g.n))
     weight = 1.0

@@ -504,6 +504,23 @@ class TestMalformedInputs:
         assert (f"checkpoint {d / 'run' / 'checkpoint.npz'} was trained on {width} feature columns, "
                 f"{d / 'wide.txt'} has {width + 1}") in err
 
+    @pytest.mark.parametrize("relabel, code", [(5, 2), (0, 0)])
+    def test_eval_on_labels_the_head_cannot_output(self, fixture_dir, capsys, relabel, code):
+        # trained on 2 classes; class 1 relabelled 5 needs a 6-wide head, relabelled 0 uses fewer classes
+        d = fixture_dir
+        assert main(train_args(d, d / "run", ["--max-epochs", "2"])) == 0
+        labels = np.loadtxt(d / "labels.txt", dtype=np.int64)
+        np.savetxt(d / "relabelled.txt", np.where(labels == 1, relabel, labels), fmt="%d")
+        flags = bundle_flags(d)
+        flags[flags.index("--labels") + 1] = str(d / "relabelled.txt")
+        capsys.readouterr()
+        assert main(["eval", *flags, "--checkpoint", str(d / "run" / "checkpoint.npz")]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert_one_error_line(err)
+            assert (f"{d / 'relabelled.txt'} holds 6 classes, "
+                    f"checkpoint {d / 'run' / 'checkpoint.npz'} was trained on 2") in err
+
     @pytest.mark.parametrize(
         "argv",
         [["bench", "--ladder", "150,300", "--degree", "nan"],

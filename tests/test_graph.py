@@ -16,6 +16,7 @@ from simga.graph import (
     random_connected_graph,
     random_graph,
     transition,
+    transition_t,
 )
 
 from conftest import graph_from_text
@@ -225,3 +226,10 @@ class TestTransition:
         active = g.degrees > 0
         assert np.abs(sums[active] - 1.0).max() < 1e-12
         assert np.all(sums[~active] == 0.0)
+
+    @pytest.mark.parametrize("text", ["0 2", "0 1\n1 2\n2 0\n2 3\n5 6"])
+    def test_transpose_read_off_the_adjacency(self, text):
+        g = graph_from_text(text)
+        want, got = transition(g).T.tocsr(), transition_t(g)
+        for a, b in [(want.data, got.data), (want.indices, got.indices), (want.indptr, got.indptr)]:
+            assert a.dtype == b.dtype and np.array_equal(a, b)

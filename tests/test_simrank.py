@@ -202,6 +202,99 @@ class TestLocalPush:
         assert mass_gap <= (1 - 0.6) * support.sum() * (1 - 0.6) * eps
 
 
+def _isolated_and_paired():
+    """60 nodes: 12 edges of a matching, a triangle, and 39 isolated nodes."""
+    return build_graph(60, [(2 * i, 2 * i + 1) for i in range(12)] + [(30, 31), (31, 32), (30, 32)])
+
+
+def _random_tree(n, seed):
+    """Node v > 0 hangs off a uniform earlier node: leaves, paths and hubs in one graph."""
+    parents = np.random.default_rng(seed).integers(0, np.arange(1, n))
+    return build_graph(n, np.stack([np.arange(1, n), parents], axis=1))
+
+
+PUSH_GRAPHS = {
+    "criterion3": lambda: random_graph(120, avg_degree=10.0, seed=5, min_degree=7),
+    "ring800": lambda: gen_structural_heterophily(0, 800, 4).graph,
+    "star200": lambda: build_graph(201, [(0, leaf) for leaf in range(1, 201)]),
+    "isolated": _isolated_and_paired,
+    "uniform2000": lambda: random_graph(2000, avg_degree=8, seed=1),
+    "push_hetero": lambda: gen_structural_heterophily(0, 4000, 4).graph,
+    "tree": lambda: _random_tree(350, 7),
+    # at 1 row per block, a round here where R and the spread are canonical as a whole, and
+    # one where a block is canonical though the whole is not
+    "forest11": lambda: build_graph(11, [(1, 7), (10, 7), (4, 7), (0, 3), (3, 6), (2, 1)]),
+    # at 1 row per block, a round whose spread blocks are all canonical though R is not
+    "forest10": lambda: build_graph(10, [(8, 5), (7, 8), (0, 5), (4, 2)]),
+}
+PUSH_EPS = {"tree": 0.02, "isolated": 0.02, "forest11": 0.005}
+
+
+def whole_matrix_push(g, c, eps):
+    """The reference push: R <- R - sel + c P sel P^T as one whole-matrix scipy sum per round.
+
+    Returns (estimate, residual, pops); simrank_localpush must reproduce every array.
+    """
+    n, threshold = g.n, (1.0 - c) * eps
+    p = transition(g)
+    pt = p.T.tocsr()
+    res = sp.identity(n, format="csr")
+    rows, cols, vals = [np.empty(0, np.int64)], [np.empty(0, np.int32)], [np.empty(0)]
+    while (hot := np.flatnonzero(res.data > threshold)).size:
+        rows.append(np.searchsorted(res.indptr, hot, side="right") - 1)
+        cols.append(res.indices[hot])
+        vals.append(res.data[hot])
+        sel = sp.csr_matrix((vals[-1], cols[-1], np.searchsorted(hot, res.indptr)), shape=(n, n))
+        res.data[hot] = 0.0
+        spread = p @ sel @ pt
+        spread.data *= c
+        res = res + spread
+    est = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+    est.data *= 1.0 - c
+    return est, res, sum(v.size for v in vals)
+
+
+class TestPushBlocks:
+    """The residual's row blocks change no output: every array is the whole-matrix push's."""
+
+    @pytest.mark.parametrize("rows", [None, 1, 7, 64])  # None: the default, one block for all of these
+    @pytest.mark.parametrize("name", sorted(PUSH_GRAPHS))
+    def test_block_size_invariant(self, name, rows):
+        g = PUSH_GRAPHS[name]()
+        eps = PUSH_EPS.get(name, 0.1)
+        est, res, pops = whole_matrix_push(g, 0.6, eps)
+        with mock.patch.object(simrank, "PUSH_BLOCK", rows or simrank.PUSH_BLOCK), \
+                mock.patch.object(simrank, "PUSH_BLOCKS", g.n if rows else simrank.PUSH_BLOCKS):
+            raw = simrank_localpush(g, 0.6, eps)
+        assert len(raw._blocks.blocks) == -(-g.n // (rows or g.n))
+        assert raw.pops == pops
+        for a, b in [(est, raw.estimate), (res, raw.residual)]:
+            assert a.nnz == b.nnz
+            for x, y in [(a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)]:
+                assert np.array_equal(x, y)
+        assert raw.max_residual() == res.data.max(initial=0.0)
+
+    def test_block_count_is_capped(self):
+        # each block's products and sum clear scratch of n entries, so many blocks cost n per block
+        res = simrank._BlockedResidual(10 * simrank.PUSH_BLOCKS * simrank.PUSH_BLOCK)
+        assert len(res.blocks) == simrank.PUSH_BLOCKS
+        assert len(simrank._BlockedResidual(simrank.PUSH_BLOCK).blocks) == 1
+
+    def test_peak_stays_under_three_residuals(self):
+        # the whole-matrix push peaked at 4.2 residuals here: old R, the full spread and their sum
+        g = random_graph(20000, avg_degree=8, seed=1)
+        tracemalloc.start()
+        try:
+            raw = simrank_localpush(g, 0.6, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        r = raw.residual
+        ratio = peak / (r.data.nbytes + r.indices.nbytes)
+        assert ratio < 3, f"the push peaked at {ratio:.2f} residuals"
+        assert g.n > simrank.PUSH_BLOCK  # several blocks
+
+
 def production(g, c, eps, mode):
     """The production S with every nonzero kept (k = n), as a dense matrix."""
     return precompute_similarity(g, HyperParams(c=c, eps=eps, k=g.n, sim_mode=mode)).values
