@@ -54,6 +54,7 @@ from .nn import (
 )
 from .simrank import (
     SparseSim,
+    _release_freed_memory,
     simrank_fixedpoint,
     simrank_localpush,
     sparse_aggregate,
@@ -219,11 +220,15 @@ def precompute_similarity(g: Graph, hp: HyperParams) -> SparseSim:
               accuracy eps), whose S is a SparseSim with k = n, then top-k of each row.
     approx -> the push's estimate of the power series at eps, diagonal pinned
               to 1, top-k of each row; never dense, so it works past DENSE_LIMIT.
+              The push is dropped once S is formed, and the free memory of
+              every malloc arena, its threads' included, goes back to the system.
     """
     if hp.sim_mode == "exact":
         iterations = max(1, math.ceil(math.log(hp.eps) / math.log(hp.c)))
         return topk_prune(simrank_fixedpoint(g, hp.c, iterations), hp.k)
-    return topk_from_push(simrank_localpush(g, hp.c, hp.eps), hp.k)
+    sim = topk_from_push(simrank_localpush(g, hp.c, hp.eps), hp.k)
+    _release_freed_memory()
+    return sim
 
 
 def _embed_with_cache(

@@ -34,19 +34,36 @@ the sparse products: at eps 0.1 the largest |E - E^T| was 0 on a 4000-node
 ring graph and 6.9e-18 on a 40000-node uniform graph of degree 8.
 
 The push keeps R in blocks of consecutive rows (_BlockedResidual). A round
-selects its entries block by block, forms P sel once, and then, for each block
-P sel reaches, that block's spread and its sum with the block; a block it does
-not reach only drops its committed zeros. So what is live at once is R, sel,
-P sel, E's committed entries and one block's spread and sum (P sel goes before
-the last block's sum), where one whole-matrix sum per round held the old R,
-the full spread and an array sized for both. On random_graph(n, 8, seed=1) the
-push's tracemalloc peak, over the final R's data and index bytes, went from
-4.16 to 1.75 at n = 40,000 and eps 0.1 (132.8 -> 56.0 MB), from 4.16 to 1.63
-at n = 100,000 (332.5 -> 130.6 MB), and from 2.19 to 1.66 at n = 8,000 and eps
-0.02 (338.7 -> 256.9 MB); tools/push_peak.py prints it round by round. The
-blocks reproduce the whole-matrix push's estimate, residual and pops array for
-array; _BlockedResidual says how. PushMatrix.residual joins the blocks on
-first read.
+selects its entries block by block and forms P sel once. It then takes the
+blocks in waves of up to PUSH_WORKERS, the usable cores (the process's CPU
+affinity) but at most 2: the calling thread forms a wave's first spread and a
+thread pool the others, the route of the whole-matrix sum is read from them in
+block order, and the sums of the blocks that wait are formed the same way.
+scipy's sparse products and sums release the GIL, so the threads overlap. A
+block the round does not reach only drops its committed zeros. What is live at
+once is R, sel, P sel, E's committed entries and one wave's spreads and sums
+(P sel goes before the last wave's sums), where one whole-matrix sum per round
+held the old R, the full spread and an array sized for both. On
+random_graph(n, 8, seed=1), over the final R's data and index bytes, the
+push's tracemalloc peak (tools/push_peak.py --workers N, round by round) was
+4.16 with the whole-matrix sum at n = 20,000, 40,000 and 100,000, eps 0.1,
+and 2.19 at n = 8,000, eps 0.02. Per wave width:
+
+  workers   n = 20,000   40,000   100,000   8,000 at eps 0.02
+     1         2.03       1.74     1.63          1.66
+     2         2.62       2.03     1.80          2.19
+     4         3.33       2.61     2.16          2.19
+     8         3.58       2.90     2.81          2.19
+    16         3.56       3.13     3.92          2.19
+
+Hence the cap: a wave as wide as the blocks holds all of the spread and the
+sum, as at n = 8,000, which is two blocks, from 2 workers on. The pool lives
+for one push, and a one-block push (n <= PUSH_BLOCK) makes none. The blocks
+summed on the pool's threads live in those threads' malloc arenas, where glibc
+keeps them once freed; model.precompute_similarity hands that memory back
+(_release_freed_memory) once the push is dropped. The blocks and the waves
+reproduce the whole-matrix push's estimate, residual and pops array for array;
+_BlockedResidual says how. PushMatrix.residual joins the blocks on first read.
 
 The top-k similarity the model consumes comes from model.precompute_similarity
 alone: topk_prune over the fixed point, or topk_from_push over the push. S is
@@ -58,10 +75,14 @@ push + top-k runs.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO
+from typing import IO, Callable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -91,6 +112,9 @@ HISTOGRAM_FLOOR, HISTOGRAM_BINS = 1e-12, 40  # class_score_histogram's trivial-s
 DUMP_CHUNK = 2**16  # entries per join and write in dump_sparse_sim; its text tables are per chunk
 PUSH_BLOCK = 4096  # rows per block of the push's residual at least; a graph of up to this many nodes is one block
 PUSH_BLOCKS = 16  # blocks at most: each block's products and sum clear scratch arrays of n entries
+# threads per multi-block push: the usable cores, at most 2. A wave forms and sums this many blocks at
+# once and holds all their spreads and sums, so the push's peak grows with it (the module docstring's table)
+PUSH_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 def _check_decay(c: float) -> None:
@@ -296,16 +320,70 @@ def _with_zero_duplicate(s: sp.csr_matrix) -> sp.csr_matrix:
     )
 
 
+def _spread(ps: sp.csr_matrix, lo: int, hi: int, pt: sp.csr_matrix, c: float) -> sp.csr_matrix:
+    """Rows lo:hi of the spread c * (P sel) P^T, from P sel."""
+    if hi - lo < ps.shape[0]:  # ps[lo:hi] as views on ps's arrays; slicing would copy them
+        a, z = ps.indptr[lo], ps.indptr[hi]
+        ps = sp.csr_matrix((ps.data[a:z], ps.indices[a:z], ps.indptr[lo : hi + 1] - a),
+                           shape=(hi - lo, ps.shape[1]))
+    s = ps @ pt
+    s.data *= c
+    return s
+
+
+def _run(pool: ThreadPoolExecutor | None, fn: Callable, items: list) -> list:
+    """fn over items, results in items' order: the pool takes all but the first, which runs here."""
+    if pool is None or len(items) < 2:
+        return [fn(i) for i in items]
+    rest = [pool.submit(fn, i) for i in items[1:]]
+    return [fn(items[0])] + [f.result() for f in rest]
+
+
+def _release_freed_memory() -> None:
+    """Return the free memory of every malloc arena to the system, where libc has malloc_trim (glibc).
+
+    glibc gives each thread a malloc arena of its own and keeps what is freed
+    there for that arena's reuse, so the blocks of a push's residual formed on
+    the pool stay resident once the push is dropped, out of the main thread's
+    reach, unless they are handed back.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):  # another libc, or none that ctypes can open
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
+
+
+@contextmanager
+def _push_pool(blocks: int) -> Iterator[ThreadPoolExecutor | None]:
+    """The PUSH_WORKERS - 1 threads that join the calling thread in one push's waves, joined on exit.
+
+    None where a wave could hold only one block.
+    """
+    workers = min(PUSH_WORKERS, blocks)
+    if workers < 2:
+        yield None
+        return
+    with ThreadPoolExecutor(workers - 1) as pool:
+        yield pool
+
+
 class _BlockedResidual:
     """The push's residual R, n x n, as CSR blocks of consecutive rows.
 
     A block holds max(PUSH_BLOCK, n / PUSH_BLOCKS) rows. A round forms its spread
-    and adds it one block at a time, and leaves a block it does not reach in
-    place, so no full-size spread or sum is ever live. Each output row of scipy's
-    csr_matmat and csr_plus_csr depends on that row alone, so the blocks hold the
-    rows one whole-matrix sum R + spread would, with its values in its column
-    order. The order matters: the next round's selection, and with it the
-    summation order of its products and of E, follows R's row order.
+    and adds it in waves of up to PUSH_WORKERS blocks, whose spreads, then sums,
+    run at once, the calling thread taking one and the push's pool the rest; it
+    leaves a block it does not reach in place. So one wave's spreads and sums
+    are live at once: a part of the full-size spread and sum wherever the push
+    has more blocks than a wave holds, and all of it in a push of no more
+    than PUSH_WORKERS blocks. Each output row of scipy's csr_matmat and
+    csr_plus_csr depends on that row alone, so the blocks hold the rows one
+    whole-matrix sum R + spread would, with its values in its column order, on
+    any thread and in any wave. The order matters: the next round's selection,
+    and with it the summation order of its products and of E, follows R's row
+    order.
 
     csr_plus_csr takes one of two routes for the whole sum: a sorted merge when
     both operands are canonical (columns strictly ascending in every row), else a
@@ -352,46 +430,51 @@ class _BlockedResidual:
         indptr = np.concatenate(ends).astype(cols.dtype)
         return sp.csr_matrix((np.concatenate(vals), cols, indptr), shape=(self.n, self.n))
 
-    def add(self, p: sp.csr_matrix, sel: sp.csr_matrix, pt: sp.csr_matrix, c: float) -> None:
-        """R <- R + c * P sel P^T, one block of rows at a time."""
+    def add(self, p: sp.csr_matrix, sel: sp.csr_matrix, pt: sp.csr_matrix, c: float,
+            pool: ThreadPoolExecutor | None) -> None:
+        """R <- R + c * P sel P^T, a wave of up to PUSH_WORKERS blocks at a time."""
         ps = p @ sel
         general, waiting = False, {}  # block -> its spread, None where the round does not reach it
-        for i, (lo, hi) in enumerate(self.bounds):
-            s = None
-            a, z = ps.indptr[lo], ps.indptr[hi]
-            if a != z:  # the round reaches the block
-                part = ps
-                if hi - lo < self.n:  # ps[lo:hi] as views on ps's arrays; slicing would copy them
-                    part = sp.csr_matrix((ps.data[a:z], ps.indices[a:z], ps.indptr[lo : hi + 1] - a),
-                                         shape=(hi - lo, self.n))
-                s = part @ pt
-                s.data *= c
-            if hi == self.n:
-                ps = part = None  # every spread block is formed: P sel goes before the last sums
-            general = general or (s is not None and not s.has_canonical_format)
-            waiting[i] = s if s is not None and s.nnz else None
-            del s  # waiting holds the spread alone, so _merge can release it
+        blocks = len(self.bounds)
+        for w in range(0, blocks, PUSH_WORKERS):
+            wave = range(w, min(w + PUSH_WORKERS, blocks))
+            reached = [i for i in wave if ps.indptr[self.bounds[i][0]] != ps.indptr[self.bounds[i][1]]]
+            spreads = dict(zip(reached, _run(pool, lambda i: _spread(ps, *self.bounds[i], pt, c), reached)))
+            if wave.stop == blocks:
+                ps = None  # every spread block is formed: P sel goes before the last sums
+            for i in wave:  # the route, in block order
+                s = spreads.pop(i, None)
+                general = general or (s is not None and not s.has_canonical_format)
+                waiting[i] = s if s is not None and s.nnz else None
+            del s  # waiting holds the spreads alone, so _merge can release them
             if general:
-                self._merge(waiting, general=True)
+                self._merge(waiting, True, pool)
         if waiting:  # every spread block is canonical: the whole sum's route is R's
             general = not all(
                 _canonical(_reversed_rows(b) if f else b) for b, f in zip(self.blocks, self.flipped)
             )
-            self._merge(waiting, general)
+            self._merge(waiting, general, pool)
 
-    def _merge(self, waiting: dict[int, sp.csr_matrix | None], general: bool) -> None:
+    def _merge(self, waiting: dict[int, sp.csr_matrix | None], general: bool,
+               pool: ThreadPoolExecutor | None) -> None:
         """Add each waiting spread to its block by the whole sum's route; waiting ends empty.
 
-        Each old block and spread is released as soon as their sum is formed.
+        The sums run as the wave's spreads do, one on the calling thread and the
+        rest on the pool. A block with neither a spread nor committed zeros only
+        records the route, on the calling thread: on a 20,001-node path, whose
+        rounds mostly reach one of its 5 blocks, handing those to the pool as
+        well took 20.1-23.3 s against 13.5-19.5 s (3 alternating runs). Each old
+        block and spread is released as soon as their sum is formed.
         """
-        for i in list(waiting):
+
+        def merge(i: int) -> None:
             s = waiting.pop(i)
             b, self.blocks[i] = self.blocks[i], None
             if s is None:
                 if self.hot[i].size:
                     b.eliminate_zeros()
                 self.blocks[i], self.flipped[i] = b, self.flipped[i] ^ general
-                continue
+                return
             if self.flipped[i]:
                 b, self.flipped[i] = _reversed_rows(b), False
             if general and s.has_canonical_format:
@@ -403,6 +486,10 @@ class _BlockedResidual:
             if b.data.base is not None and b.data.base.size - b.nnz > b.nnz // 8:
                 b.data, b.indices = b.data.copy(), b.indices.copy()
             self.blocks[i] = b
+
+        for i in [i for i, s in waiting.items() if s is None and not self.hot[i].size]:
+            merge(i)
+        _run(pool, merge, list(waiting))
 
     def assemble(self) -> PairMatrix:
         """R as one CSR, copied block by block into preallocated arrays; the blocks are released."""
@@ -430,10 +517,14 @@ def simrank_localpush(g: Graph, c: float, eps: float) -> PushMatrix:
     threshold, adds sel to E and replaces R by R - sel + c * P sel P^T; it
     stops once max R <= (1-c)*eps and returns (1-c) * E as the estimate. R
     stays in row blocks, which give every array one whole-matrix sum per round
-    would; at no time is a spread or a sum of all n rows live. Live at once:
-    R, sel, P sel, the committed entries and one block's spread and sum. The
-    traced peak on a uniform degree-8 graph at n = 100,000, eps 0.1, is 1.63
-    final residuals (130.6 MB), where the whole-matrix sum took 4.16 (332.5 MB).
+    would. A push of more than one block forms each round's block spreads and
+    sums in waves of up to PUSH_WORKERS blocks (at most 2), the calling thread
+    taking one and a pool the others; the pool ends with the push, on an error
+    too. Live at once: R, sel, P sel, the committed entries and one wave's
+    spreads and sums, which is all of a round's spread and sum where the push
+    has no more blocks than a wave. The traced peak on a uniform degree-8 graph
+    at n = 100,000, eps 0.1, is 1.63 final residuals with one worker (130.0 MB)
+    and 1.80 with two (144.2 MB), where the whole-matrix sum took 4.16 (332.5 MB).
     """
     _check_decay(c)
     _check_eps(eps)
@@ -443,11 +534,12 @@ def simrank_localpush(g: Graph, c: float, eps: float) -> PushMatrix:
     res = _BlockedResidual(n)
     # committed entries of every round as (row, col, value); E is their sum
     rows, cols, vals = [np.empty(0, np.int64)], [np.empty(0, np.int32)], [np.empty(0)]
-    while (sel := res.take(threshold)) is not None:
-        rows.append(np.repeat(np.arange(n), np.diff(sel.indptr)))
-        cols.append(sel.indices)
-        vals.append(sel.data)
-        res.add(p, sel, pt, c)
+    with _push_pool(len(res.blocks)) as pool:
+        while (sel := res.take(threshold)) is not None:
+            rows.append(np.repeat(np.arange(n), np.diff(sel.indptr)))
+            cols.append(sel.indices)
+            vals.append(sel.data)
+            res.add(p, sel, pt, c, pool)
     est = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     )

@@ -3,15 +3,18 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simga import verify
+from simga import simrank, verify
 from simga.cli import main
 from simga.data import gen_structural_heterophily
+from simga.graph import random_graph
 from simga.model import load_checkpoint
 from simga.simrank import load_sparse_sim
 
@@ -139,6 +142,26 @@ class TestSimrank:
                      "--eps", "0.1", "--k", "4", "--out", str(tmp_path / "out")])
         assert code == 4
         assert "n <= 20000" in capsys.readouterr().err
+
+
+    def test_a_block_out_of_memory_exits_4(self, tmp_path, capsys):
+        # a push of several blocks on two threads; the second block's spread runs out of memory
+        g = random_graph(3 * simrank.PUSH_BLOCK, avg_degree=4, seed=2)
+        u, v = sp.triu(g.adj).nonzero()
+        np.savetxt(tmp_path / "e.txt", np.column_stack([u, v]), fmt="%d")
+        second, real = simrank._BlockedResidual(g.n).bounds[1][0], simrank._spread
+
+        def spread(ps, lo, hi, pt, c):
+            if lo == second:
+                raise MemoryError("no room for the spread")
+            return real(ps, lo, hi, pt, c)
+
+        with mock.patch.object(simrank, "PUSH_WORKERS", 2), mock.patch.object(simrank, "_spread", spread):
+            code = main(["simrank", "--edges", str(tmp_path / "e.txt"), "--mode", "approx",
+                         "--eps", "0.1", "--k", "4", "--out", str(tmp_path / "out")])
+        assert code == 4
+        assert_one_error_line(capsys.readouterr().err)
+        assert not (tmp_path / "out" / "similarity.txt").exists()
 
 
 class TestTrainEval:

@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ from simga.nn import (
     softmax_cross_entropy,
     unflatten_arrays,
 )
-from simga.simrank import SparseSim, topk_prune
+from simga.graph import random_graph
+from simga.simrank import PUSH_BLOCK, SparseSim, topk_prune
 
 
 def small_bundle(seed=0, n=60):
@@ -130,6 +132,17 @@ class TestEmbed:
         params.mlp_h[0].bias[:] = np.arange(bundle.num_classes)
         h = embed(bundle, params, hp)
         assert np.array_equal(h, np.tile(np.arange(bundle.num_classes), (bundle.n, 1)))
+
+
+class TestPrecomputeSimilarity:
+    def test_freed_memory_handed_back_after_the_push(self):
+        # the push's blocks formed on its threads stay in their malloc arenas once freed
+        g = random_graph(PUSH_BLOCK + 1, avg_degree=4, seed=3)  # two blocks: the push runs on threads
+        with mock.patch.object(model, "_release_freed_memory") as release:
+            precompute_similarity(g, quick_hp(sim_mode="approx"))
+            assert release.call_count == 1
+            precompute_similarity(small_bundle().graph, quick_hp())  # exact: no push
+            assert release.call_count == 1
 
 
 class TestAggregate:

@@ -1,4 +1,6 @@
 import io
+import sys
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -228,6 +230,10 @@ PUSH_GRAPHS = {
     "forest10": lambda: build_graph(10, [(8, 5), (7, 8), (0, 5), (4, 2)]),
 }
 PUSH_EPS = {"tree": 0.02, "isolated": 0.02, "forest11": 0.005}
+# graph and rows per block for the waves: several blocks, as the default size makes one and no pool;
+# 1-row blocks on the graphs of up to 350 nodes, as the larger ones take seconds a push there
+WAVE_CASES = [(name, rows) for name in sorted(PUSH_GRAPHS) for rows in (1, 7, 64)
+              if rows > 1 or name not in ("push_hetero", "ring800", "uniform2000")]
 
 
 def whole_matrix_push(g, c, eps):
@@ -273,6 +279,59 @@ class TestPushBlocks:
             for x, y in [(a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)]:
                 assert np.array_equal(x, y)
         assert raw.max_residual() == res.data.max(initial=0.0)
+
+    @pytest.mark.parametrize("workers", [1, 3])  # beside the default, up to 2 workers
+    @pytest.mark.parametrize("name,rows", WAVE_CASES)
+    def test_worker_count_invariant(self, name, rows, workers):
+        # waves of 1 and 3 blocks on any machine, so a one-CPU runner takes the pool's path too
+        with mock.patch.object(simrank, "PUSH_WORKERS", workers):
+            self.test_block_size_invariant(name, rows)
+
+    def test_threads_switched_often_change_nothing(self):
+        # more threads than cores, switched every microsecond: a lost update to a block would show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(simrank, "PUSH_WORKERS", 4):
+                self.test_block_size_invariant("tree", 7)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_pool_threads_end_with_the_push(self):
+        g = random_graph(3 * simrank.PUSH_BLOCK, avg_degree=4, seed=2)  # three blocks
+        before, seen = threading.active_count(), []
+        real = simrank._spread
+
+        def spread(*args):
+            seen.append(threading.active_count())
+            return real(*args)
+
+        with mock.patch.object(simrank, "PUSH_WORKERS", 2), mock.patch.object(simrank, "_spread", spread):
+            simrank_localpush(g, 0.6, 0.1)
+        assert max(seen) > before  # the spreads ran on the pool's threads
+        assert threading.active_count() == before
+
+    def test_a_failing_block_ends_the_push_and_its_threads(self):
+        g = random_graph(3 * simrank.PUSH_BLOCK, avg_degree=4, seed=2)
+        second = simrank._BlockedResidual(g.n).bounds[1][0]
+        boom, real = MemoryError("no room for the second block's spread"), simrank._spread
+
+        def spread(ps, lo, hi, pt, c):
+            if lo == second:
+                raise boom
+            return real(ps, lo, hi, pt, c)
+
+        before = threading.active_count()
+        with mock.patch.object(simrank, "PUSH_WORKERS", 2), mock.patch.object(simrank, "_spread", spread):
+            with pytest.raises(MemoryError) as err:
+                simrank_localpush(g, 0.6, 0.1)
+        assert err.value is boom
+        assert threading.active_count() == before
+
+    def test_freed_memory_release_needs_no_malloc_trim(self):
+        simrank._release_freed_memory()  # glibc's malloc_trim where it is there
+        with mock.patch.object(simrank.ctypes, "CDLL", side_effect=OSError("no libc to open")):
+            simrank._release_freed_memory()  # elsewhere nothing is released, and nothing fails
 
     def test_block_count_is_capped(self):
         # each block's products and sum clear scratch of n entries, so many blocks cost n per block

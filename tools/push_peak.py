@@ -2,13 +2,15 @@
 
 Usage, from anywhere in a checkout:
 
-    python3 tools/push_peak.py uniform <n> <degree> [--seed 1] [--eps 0.1] [--src DIR]
-    python3 tools/push_peak.py edges <edge file> [--eps 0.1] [--src DIR]
+    python3 tools/push_peak.py uniform <n> <degree> [--seed 1] [--eps 0.1] [--workers N] [--src DIR]
+    python3 tools/push_peak.py edges <edge file> [--eps 0.1] [--workers N] [--src DIR]
 
 `uniform` builds `random_graph(n, degree, seed)`; `edges` loads an edge list in
 the documented text format. --src imports simga from another source tree (the
 `src` directory of a `git archive` of a revision, say), so two revisions can be
-compared on one graph; it defaults to this checkout's `src`.
+compared on one graph; it defaults to this checkout's `src`. --workers sets
+simrank.PUSH_WORKERS, the push's threads, in place of one per usable core; 1
+runs the blocks one at a time, as a tree without the pool does.
 
 A round starts where the push forms P @ sel, and runs to the next round's
 P @ sel or to the push's return, so it holds the round's spread and sum and the
@@ -92,12 +94,17 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("args", nargs="+", help="n and degree for uniform, an edge file for edges")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--eps", type=float, default=0.1)
+    ap.add_argument("--workers", type=int, help="simrank.PUSH_WORKERS for both passes (default: the tree's own)")
     ap.add_argument("--src", default=str(ROOT / "src"), help="the source tree to import simga from")
     opts = ap.parse_args(argv)
     sys.path.insert(0, opts.src)
     from simga import simrank
     from simga.graph import load_edge_list, random_graph
 
+    if opts.workers is not None:
+        if opts.workers < 1 or not hasattr(simrank, "PUSH_WORKERS"):
+            ap.error(f"--workers needs a value >= 1 and a tree whose push has PUSH_WORKERS ({opts.src})")
+        simrank.PUSH_WORKERS = opts.workers
     if opts.kind == "uniform":
         n, degree = int(opts.args[0]), float(opts.args[1])
         g = random_graph(n, degree, seed=opts.seed)
@@ -110,7 +117,8 @@ def main(argv: list[str] | None = None) -> int:
     traced, raw = observed_push(simrank, g, opts.eps, traced=True)
     r = raw.residual
     r_bytes = r.data.nbytes + r.indices.nbytes
-    print(f"{name}, n {g.n}, eps {opts.eps:g}, simga from {simrank.__file__}")
+    workers = getattr(simrank, "PUSH_WORKERS", 1)
+    print(f"{name}, n {g.n}, eps {opts.eps:g}, {workers} workers, simga from {simrank.__file__}")
     print(f"{'round':>5} {'hot':>10} {'spread nnz':>12} {'R nnz':>12} {'ms':>9} {'peak MB':>9} {'peak/R':>7}")
     for i, (m, t) in enumerate(zip(counted, traced)):
         print(f"{i:>5} {m.get('hot', 0):>10} {m.get('spread_nnz', 0):>12} {m.get('r_nnz', 0):>12} "
